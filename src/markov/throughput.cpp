@@ -52,10 +52,10 @@ Vector solve_stationary(const TpnMarkovChain& chain,
     triplets.push_back(Triplet{e.from, e.to, rates[e.transition]});
   }
   StationarySolveStats stats;
-  Vector pi = stationary_uniformized(CsrMatrix(n, n, std::move(triplets)),
-                                     options.stationary, &stats);
+  Vector pi = stationary_gauss_seidel(CsrMatrix(n, n, std::move(triplets)),
+                                      options.stationary, &stats);
   if (telemetry != nullptr) {
-    telemetry->backend = StationaryBackend::kUniformized;
+    telemetry->backend = StationaryBackend::kGaussSeidel;
     telemetry->iterations = stats.iterations;
     telemetry->residual = stats.residual;
   }

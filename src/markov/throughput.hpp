@@ -13,8 +13,8 @@ namespace streamflow {
 
 struct GeneralMethodOptions {
   ReachabilityOptions reachability;
-  /// Below this state count the stationary solve is a dense LU; above, the
-  /// sparse uniformization power iteration.
+  /// Up to this state count the stationary solve is a dense LU; above, the
+  /// sparse residual-bounded Gauss–Seidel iteration.
   std::size_t dense_threshold = 1200;
   StationaryOptions stationary;
 };
@@ -23,7 +23,7 @@ struct GeneralMethodOptions {
 /// decision, surfaced for observability and the crossover tests).
 enum class StationaryBackend {
   kDense,        ///< direct dense LU on the full generator
-  kUniformized,  ///< sparse uniformization + power iteration
+  kGaussSeidel,  ///< sparse residual-bounded Gauss–Seidel
 };
 
 struct GeneralMethodResult {
@@ -35,11 +35,11 @@ struct GeneralMethodResult {
   /// The back-end the stationary solve dispatched to (num_states vs
   /// dense_threshold).
   StationaryBackend backend = StationaryBackend::kDense;
-  /// Power sweeps of the uniformized solve; 0 for the direct dense solve.
+  /// Gauss–Seidel sweeps; 0 for the direct dense solve.
   std::size_t solver_iterations = 0;
-  /// Solve-quality telemetry. Dense: the verification residual
-  /// || pi Q ||_1. Uniformized: the converged sweep's L1 change (strictly
-  /// under StationaryOptions::tolerance).
+  /// Solve quality, for both back-ends: the residual of the solved
+  /// distribution as defined by stationary_residual (for Gauss–Seidel at
+  /// most StationaryOptions::tolerance).
   double solver_residual = 0.0;
 };
 

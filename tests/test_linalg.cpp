@@ -94,6 +94,23 @@ TEST(Csr, AssemblesAndMultiplies) {
   EXPECT_DOUBLE_EQ(z[2], 2.0);
 }
 
+TEST(Csr, SortsColumnsAndMergesDuplicatesWithinRows) {
+  // Columns arrive in reverse order, rows interleaved, duplicates apart.
+  std::vector<Triplet> t{{1, 3, 2.0}};
+  for (std::size_t c = 40; c-- > 0;) t.push_back({0, c, 1.0});
+  t.push_back({1, 1, 1.0});
+  for (std::size_t c = 0; c < 40; c += 2) t.push_back({0, c, 0.5});
+  t.push_back({1, 3, 0.25});
+  const CsrMatrix m(2, 40, t);
+  EXPECT_EQ(m.nonzeros(), 42u);
+  for (std::size_t k = m.row_begin(0); k < m.row_end(0); ++k) {
+    EXPECT_EQ(m.col_index()[k], k);
+    EXPECT_EQ(m.values()[k], k % 2 == 0 ? 1.5 : 1.0);
+  }
+  EXPECT_EQ(m.col_index()[m.row_begin(1)], 1u);
+  EXPECT_EQ(m.values()[m.row_begin(1) + 1], 2.25);
+}
+
 TEST(Csr, RejectsOutOfRange) {
   std::vector<Triplet> t{{5, 0, 1.0}};
   EXPECT_THROW(CsrMatrix(2, 2, t), InvalidArgument);
@@ -136,13 +153,13 @@ TEST(Stationary, BirthDeathMatchesMm1k) {
     EXPECT_NEAR(pi[i], std::pow(rho, i) / norm, 1e-12) << "state " << i;
 }
 
-TEST(Stationary, UniformizedAgreesWithDense) {
-  Prng prng(1234);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t n = 3 + prng.uniform_index(20);
-    // Random strongly connected generator: a cycle plus random extra edges.
-    std::vector<Triplet> triplets;
-    DenseMatrix q(n, n, 0.0);
+/// A random strongly connected generator of `n` states (a cycle plus random
+/// extra edges), as off-diagonal triplets and as the dense Q.
+struct RandomGenerator {
+  std::vector<Triplet> triplets;
+  DenseMatrix q;
+
+  RandomGenerator(std::size_t n, Prng& prng) : q(n, n, 0.0) {
     auto add = [&](std::size_t i, std::size_t j, double r) {
       triplets.push_back({i, j, r});
       q(i, j) += r;
@@ -155,12 +172,71 @@ TEST(Stationary, UniformizedAgreesWithDense) {
       const std::size_t j = prng.uniform_index(n);
       if (i != j) add(i, j, prng.uniform(0.1, 1.0));
     }
-    const Vector pi_dense = stationary_dense(q);
-    const Vector pi_iter =
-        stationary_uniformized(CsrMatrix(n, n, triplets));
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(pi_dense[i], pi_iter[i], 1e-8) << "state " << i;
   }
+};
+
+TEST(Stationary, GaussSeidelAgreesWithDense) {
+  Prng prng(1234);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::size_t n = 3 + prng.uniform_index(20);
+    const RandomGenerator gen(n, prng);
+    const Vector pi_dense = stationary_dense(gen.q);
+    const Vector pi_iter =
+        stationary_gauss_seidel(CsrMatrix(n, n, gen.triplets));
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_NEAR(pi_dense[i], pi_iter[i], 1e-10) << "state " << i;
+  }
+}
+
+TEST(Stationary, GaussSeidelReportsItsTrueResidual) {
+  // The reported residual is stationary_residual of the returned vector,
+  // recomputed independently here from the dense generator.
+  Prng prng(77);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::size_t n = 3 + prng.uniform_index(40);
+    const RandomGenerator gen(n, prng);
+    StationaryOptions options;
+    StationarySolveStats stats;
+    const Vector pi =
+        stationary_gauss_seidel(CsrMatrix(n, n, gen.triplets), options, &stats);
+    EXPECT_GT(stats.iterations, 0u);
+    EXPECT_LE(stats.residual, options.tolerance);
+    EXPECT_NEAR(stats.residual, stationary_residual(gen.q, pi), 1e-15);
+    double sum = 0.0;
+    for (double p : pi) sum += p;
+    EXPECT_NEAR(sum, 1.0, 1e-14);
+  }
+}
+
+TEST(Stationary, GaussSeidelFailsClosedOnNonConvergence) {
+  // A sweep cap too small for the tolerance is an error, never a guess.
+  Prng prng(5);
+  const RandomGenerator gen(30, prng);
+  StationaryOptions options;
+  options.max_iterations = 1;
+  EXPECT_THROW(
+      stationary_gauss_seidel(CsrMatrix(30, 30, gen.triplets), options),
+      NumericalError);
+}
+
+TEST(Stationary, GaussSeidelRejectsStateWithoutExit) {
+  // 0 -> 1 only: state 1 is absorbing, so the chain is not irreducible.
+  EXPECT_THROW(stationary_gauss_seidel(CsrMatrix(2, 2, {{0, 1, 1.0}})),
+               NumericalError);
+}
+
+TEST(Stationary, GaussSeidelSingleStateAndDiagonalEntries) {
+  StationarySolveStats stats;
+  EXPECT_EQ(stationary_gauss_seidel(CsrMatrix(1, 1, {}), {}, &stats),
+            Vector{1.0});
+  EXPECT_EQ(stats.iterations, 0u);
+  // Diagonal entries in the off-diagonal input are ignored, bit for bit.
+  Prng prng(9);
+  const RandomGenerator gen(12, prng);
+  std::vector<Triplet> with_diagonal = gen.triplets;
+  for (std::size_t i = 0; i < 12; ++i) with_diagonal.push_back({i, i, 3.0});
+  EXPECT_EQ(stationary_gauss_seidel(CsrMatrix(12, 12, gen.triplets)),
+            stationary_gauss_seidel(CsrMatrix(12, 12, with_diagonal)));
 }
 
 TEST(Stationary, RejectsEmptyAndNonSquare) {

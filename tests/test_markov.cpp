@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "common/stats.hpp"
 #include "markov/throughput.hpp"
 #include "test_helpers.hpp"
 #include "tpn/builder.hpp"
@@ -128,29 +129,67 @@ TEST(GeneralMethod, StationaryBackendCrossoverAtDenseThreshold) {
   ASSERT_LE(a.num_states, dense.dense_threshold);
   EXPECT_EQ(a.backend, StationaryBackend::kDense);
   EXPECT_EQ(a.solver_iterations, 0u);       // direct solve: no sweeps
-  EXPECT_LT(a.solver_residual, 1e-10);      // || pi Q ||_1 of the LU solve
+  EXPECT_LT(a.solver_residual, 1e-10);      // residual of the LU solve
 
   // Drop the threshold below the state count: the SAME chain now takes the
-  // sparse uniformized path, reports it, and agrees on the throughput.
+  // sparse Gauss–Seidel path, reports it, and agrees on the throughput.
   GeneralMethodOptions sparse = dense;
   sparse.dense_threshold = a.num_states - 1;
   const auto b = exponential_throughput_general(
       g, rates, g.last_column_transitions(), sparse);
-  EXPECT_EQ(b.backend, StationaryBackend::kUniformized);
+  EXPECT_EQ(b.backend, StationaryBackend::kGaussSeidel);
   EXPECT_GT(b.solver_iterations, 0u);
-  EXPECT_LT(b.solver_residual, sparse.stationary.tolerance);
-  // The sweep stops on an L1-change tolerance, which bounds the pi error
-  // only up to the chain's mixing factor — compare a few orders above it.
-  EXPECT_NEAR(b.throughput, a.throughput, 1e-7);
+  EXPECT_LE(b.solver_residual, sparse.stationary.tolerance);
+  // The documented agreement with the dense reference (REPRODUCING.md).
+  EXPECT_LE(relative_difference(b.throughput, a.throughput), 1e-9);
 
   // saturated_flow (the pattern-cache entry point) dispatches identically —
   // it is NOT dense-only.
   const auto sf_dense = saturated_flow(g, rates, dense);
   EXPECT_EQ(sf_dense.backend, StationaryBackend::kDense);
   const auto sf_sparse = saturated_flow(g, rates, sparse);
-  EXPECT_EQ(sf_sparse.backend, StationaryBackend::kUniformized);
+  EXPECT_EQ(sf_sparse.backend, StationaryBackend::kGaussSeidel);
   EXPECT_GT(sf_sparse.solver_iterations, 0u);
-  EXPECT_NEAR(sf_sparse.throughput, sf_dense.throughput, 1e-7);
+  EXPECT_LE(relative_difference(sf_sparse.throughput, sf_dense.throughput),
+            1e-9);
+}
+
+TEST(GeneralMethod, StrictChainGaussSeidelMatchesDenseReference) {
+  // A 1008-state Strict chain (Theorem 2's own workload) solved both ways:
+  // the dense LU is the reference, Gauss–Seidel must agree to 1e-9 and
+  // report a residual within tolerance.
+  const Mapping mapping = testing::replicated_chain_mapping(1, 3, 2, 2.0, 1.0);
+  const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kStrict);
+  const auto rates = rates_from_durations(g);
+  const auto dense = exponential_throughput_general(
+      g, rates, g.last_column_transitions());
+  ASSERT_EQ(dense.num_states, 1008u);
+  ASSERT_EQ(dense.backend, StationaryBackend::kDense);
+  GeneralMethodOptions options;
+  options.dense_threshold = 0;
+  const auto gs = exponential_throughput_general(
+      g, rates, g.last_column_transitions(), options);
+  EXPECT_EQ(gs.backend, StationaryBackend::kGaussSeidel);
+  EXPECT_LE(gs.solver_residual, options.stationary.tolerance);
+  EXPECT_LE(relative_difference(gs.throughput, dense.throughput), 1e-9);
+  EXPECT_LT(dense.solver_residual, 1e-13);
+}
+
+TEST(GeneralMethod, NonConvergedSolveIsAnError) {
+  // A sweep budget the chain cannot meet surfaces as NumericalError from
+  // the public entry points instead of a plausible-looking throughput.
+  const Mapping mapping = testing::chain_mapping({1.0, 2.0}, {1e-3});
+  const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kOverlap);
+  GeneralMethodOptions options;
+  options.reachability.place_capacity = 4;
+  options.dense_threshold = 0;
+  options.stationary.max_iterations = 1;
+  EXPECT_THROW(exponential_throughput_general(g, rates_from_durations(g),
+                                              g.last_column_transitions(),
+                                              options),
+               NumericalError);
+  EXPECT_THROW(saturated_flow(g, rates_from_durations(g), options),
+               NumericalError);
 }
 
 TEST(GeneralMethod, FrequenciesAreRowUniform) {

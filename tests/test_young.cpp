@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/math_utils.hpp"
+#include "common/stats.hpp"
 #include "linalg/stationary.hpp"
 #include "markov/reachability.hpp"
 #include "markov/throughput.hpp"
@@ -137,6 +138,31 @@ TEST(PatternFlow, ExponentialBelowDeterministic) {
                 static_cast<double>(std::max(u, v)) /
                     static_cast<double>(u + v - 1),
                 1e-9);
+  }
+}
+
+TEST(PatternFlow, LargePatternsTakeGaussSeidelAndMatchDenseReference) {
+  // S(6,5) = S(5,6) = 1260 > dense_threshold: the pattern CTMC is solved by
+  // Gauss–Seidel, and agrees with the dense LU reference to 1e-9.
+  for (const auto& [u, v] : std::vector<PatternDims>{{6, 5}, {5, 6}}) {
+    std::vector<double> times;
+    for (std::size_t t = 0; t < u * v; ++t) times.push_back(1.0 + 0.1 * t);
+    const Mapping mapping =
+        testing::single_comm_mapping_heterogeneous(u, v, times);
+    const CommPattern pattern = comm_patterns(mapping, 0)[0];
+    const TimedEventGraph teg = build_pattern_teg(pattern);
+    const std::vector<double> rates = rates_from_durations(teg);
+    const GeneralMethodResult gs = saturated_flow(teg, rates);
+    EXPECT_EQ(gs.num_states, 1260u);
+    EXPECT_EQ(gs.backend, StationaryBackend::kGaussSeidel);
+    EXPECT_LE(gs.solver_residual, StationaryOptions{}.tolerance);
+    EXPECT_EQ(pattern_flow_exponential(pattern).inner_flow, gs.throughput);
+    GeneralMethodOptions dense;
+    dense.dense_threshold = gs.num_states;
+    const GeneralMethodResult lu = saturated_flow(teg, rates, dense);
+    EXPECT_EQ(lu.backend, StationaryBackend::kDense);
+    EXPECT_LE(relative_difference(gs.throughput, lu.throughput), 1e-9)
+        << "u=" << u << " v=" << v;
   }
 }
 
