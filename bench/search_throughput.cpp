@@ -1,6 +1,5 @@
 // Mapping-search evaluation throughput: shared AnalysisContext versus the
-// throwaway-context baseline, and shared-instance candidate construction
-// versus the deep-copy path it replaced.
+// throwaway-context baseline, the parallel portfolio, and the bound screens.
 //
 // Part 1 models what local search actually does: repeated sweeps over the
 // migrate/swap neighbourhood of a base mapping (every sweep re-probes
@@ -13,25 +12,14 @@
 // bit-identical between the two paths, and the shape check asserts the
 // >= 3x evaluations/sec speedup the caching layer exists for.
 //
-// Part 2 is the large-platform sweep: once the pattern cache is warm, what
-// dominated evaluate_move was constructing the candidate Mapping itself —
-// the pre-sharing path deep-copied the Application and the M x M bandwidth
-// matrix and re-ran the full O(N * R^2) constructor validation per
-// candidate. With hundreds of processors that copy is the bottleneck. The
-// sweep times the same warm move evaluations under
-// CandidatePolicy::kCopyValidate (the old path, kept as the reference
-// implementation) and CandidatePolicy::kSharedDerive (shared immutable
-// instance + touched-team-only revalidation), checks the scores
-// bit-identical, and asserts the >= 2x speedup on the largest platform.
-//
-// Part 3 is the portfolio threads sweep: the deterministic parallel search
+// Part 2 is the portfolio threads sweep: the deterministic parallel search
 // (engine/parallel_search.hpp) runs the same restart portfolio at 1, 2, 4,
 // and 8 worker threads, checks every result bit-identical, and reports the
 // wall-clock speedup. The >= 2x-at-4-threads shape assertion only arms when
 // the host actually has 4 hardware threads (on smaller machines the sweep
 // still runs and the verdict degrades to SHAPE-INFO).
 //
-// Part 4 is the bound-screen pruning sweep plus the metaheuristic kind
+// Part 3 is the bound-screen pruning sweep plus the metaheuristic kind
 // portfolio. The pruning sweep runs the same serial search on the
 // large-platform instances under BoundPolicy::kNone / kMct / kMctMaxplus,
 // asserts the screened results bit-identical to the unscreened search
@@ -82,8 +70,7 @@ Mapping default_instance() {
 
 /// 4-stage pipeline mapped on 9 of `m` processors: the platform (speeds and
 /// the full heterogeneous bandwidth matrix) scales with m, the mapped teams
-/// and therefore the pattern-solve work do not. This isolates the
-/// per-candidate construction cost the instance-sharing refactor removed.
+/// and therefore the pattern-solve work do not.
 Mapping large_instance(std::size_t m) {
   Application app({2.0, 6.0, 4.0, 1.5}, {1.0, 2.0, 0.5});
   Prng prng(777);
@@ -119,32 +106,6 @@ std::vector<MappingMove> neighbourhood(const Mapping& base) {
   return moves;
 }
 
-/// A bounded move set for the large platforms (the full neighbourhood has
-/// O(m^2) swaps): migrations of the first processors to every stage, plus
-/// swaps within the first 16 processors.
-std::vector<MappingMove> bounded_neighbourhood(const Mapping& base,
-                                               std::size_t max_migrators) {
-  const std::size_t n = base.num_stages();
-  const std::size_t m = base.num_processors();
-  std::vector<MappingMove> moves;
-  const std::size_t migrators = std::min(m, max_migrators);
-  for (std::size_t p = 0; p < migrators; ++p) {
-    for (std::size_t i = 0; i <= n; ++i) {
-      const std::size_t target = i == n ? Mapping::kUnused : i;
-      if (target == base.stage_of(p)) continue;
-      moves.push_back(MappingMove::migrate(p, target));
-    }
-  }
-  const std::size_t swappers = std::min<std::size_t>(m, 16);
-  for (std::size_t p = 0; p < swappers; ++p) {
-    for (std::size_t q = p + 1; q < swappers; ++q) {
-      if (base.stage_of(p) == base.stage_of(q)) continue;
-      moves.push_back(MappingMove::swap(p, q));
-    }
-  }
-  return moves;
-}
-
 /// Baseline: rebuild the candidate and solve every pattern from scratch.
 std::optional<double> evaluate_throwaway(const Mapping& base,
                                          const MappingMove& move,
@@ -171,34 +132,6 @@ std::optional<double> evaluate_throwaway(const Mapping& base,
   } catch (const InvalidArgument&) {
     return std::nullopt;
   }
-}
-
-struct PolicyRun {
-  double seconds = 0.0;
-  std::vector<std::optional<double>> scores;
-};
-
-/// Warm the context (one uncounted sweep populates the pattern cache and
-/// base columns), then time `sweeps` sweeps of evaluate_move under the
-/// given candidate-construction policy.
-PolicyRun run_policy(const Mapping& base, const std::vector<MappingMove>& moves,
-                     const MappingSearchOptions& options,
-                     CandidatePolicy policy, std::size_t sweeps) {
-  AnalysisContext context;
-  context.set_candidate_policy(policy);
-  context.set_base(base, options);
-  for (const MappingMove& move : moves) context.evaluate_move(move);  // warm
-
-  PolicyRun run;
-  run.scores.reserve(sweeps * moves.size());
-  streamflow::bench::Stopwatch watch;
-  for (std::size_t sweep = 0; sweep < sweeps; ++sweep) {
-    for (const MappingMove& move : moves) {
-      run.scores.push_back(context.evaluate_move(move));
-    }
-  }
-  run.seconds = watch.seconds();
-  return run;
 }
 
 std::size_t count_mismatches(const std::vector<std::optional<double>>& a,
@@ -286,55 +219,7 @@ int main(int argc, char** argv) {
             << " recomputed\n";
   std::cout << "speedup: " << speedup << "x\n\n";
 
-  // ---- Part 2: large-platform candidate-construction sweep ----------------
-  const std::vector<std::size_t> platform_sizes =
-      args.quick ? std::vector<std::size_t>{160}
-                 : std::vector<std::size_t>{160, 320, 480};
-  const std::size_t policy_sweeps = args.quick ? 2 : 3;
-
-  streamflow::Table policy_table({"processors", "moves", "copy evals/sec",
-                                  "shared evals/sec", "speedup"});
-  policy_table.set_precision(4);
-  JsonObject large_json;
-  double largest_policy_speedup = 0.0;
-  std::size_t policy_mismatches = 0;
-  for (const std::size_t m : platform_sizes) {
-    const Mapping big = large_instance(m);
-    const std::vector<MappingMove> big_moves =
-        bounded_neighbourhood(big, /*max_migrators=*/24);
-    const PolicyRun copy = run_policy(big, big_moves, options,
-                                      CandidatePolicy::kCopyValidate,
-                                      policy_sweeps);
-    const PolicyRun shared = run_policy(big, big_moves, options,
-                                        CandidatePolicy::kSharedDerive,
-                                        policy_sweeps);
-    policy_mismatches += count_mismatches(copy.scores, shared.scores);
-
-    const double policy_evals =
-        static_cast<double>(policy_sweeps * big_moves.size());
-    const double copy_rate = policy_evals / copy.seconds;
-    const double shared_rate = policy_evals / shared.seconds;
-    const double policy_speedup = shared_rate / copy_rate;
-    largest_policy_speedup = policy_speedup;  // sizes are ascending
-    policy_table.add_row({static_cast<std::int64_t>(m),
-                          static_cast<std::int64_t>(big_moves.size()),
-                          copy_rate, shared_rate, policy_speedup});
-    JsonObject row;
-    row.set("processors", m)
-        .set("moves", big_moves.size())
-        .set("sweeps", policy_sweeps)
-        .set("copy_evals_per_sec", copy_rate)
-        .set("shared_evals_per_sec", shared_rate)
-        .set("speedup", policy_speedup);
-    large_json.set("m" + std::to_string(m), row);
-  }
-  streamflow::bench::emit(
-      policy_table,
-      "warm evaluate_move: deep-copy candidates vs shared-instance derive",
-      args);
-  std::cout << "\n";
-
-  // ---- Part 3: deterministic portfolio threads sweep ----------------------
+  // ---- Part 2: deterministic portfolio threads sweep ----------------------
   // One restart portfolio on the hard heterogeneous instance, swept over
   // worker-thread counts. Scores, trajectories, and counters must be
   // bit-identical at every T; wall clock is what changes.
@@ -400,8 +285,6 @@ int main(int argc, char** argv) {
 
   const bool default_identical = mismatches == 0;
   const bool default_speedup_ok = speedup >= 3.0;
-  const bool policy_identical = policy_mismatches == 0;
-  const bool policy_speedup_ok = largest_policy_speedup >= 2.0;
   streamflow::bench::shape_check(
       default_identical,
       "cached/incremental scores bit-identical to the throwaway path (" +
@@ -410,16 +293,6 @@ int main(int argc, char** argv) {
       default_speedup_ok,
       "shared context >= 3x evaluations/sec vs throwaway contexts (got " +
           std::to_string(speedup) + "x)");
-  streamflow::bench::shape_check(
-      policy_identical,
-      "shared-instance candidates score bit-identical to deep-copy "
-      "candidates (" +
-          std::to_string(policy_mismatches) + " mismatches)");
-  streamflow::bench::shape_check(
-      policy_speedup_ok,
-      "shared-instance derive >= 2x evaluations/sec vs deep-copy candidates "
-      "on the largest platform (got " +
-          std::to_string(largest_policy_speedup) + "x)");
   streamflow::bench::shape_check(
       sweep_identical,
       "portfolio results bit-identical across 1/2/4/8 worker threads (" +
@@ -438,9 +311,12 @@ int main(int argc, char** argv) {
         std::to_string(sweep_speedup_at4) + "x at 4 workers)");
   }
 
-  // ---- Part 4a: admissible bound-screen pruning sweep ----------------------
+  // ---- Part 3a: admissible bound-screen pruning sweep ----------------------
   // The same serial search, unscreened vs screened: the screens must change
   // nothing but the work done.
+  const std::vector<std::size_t> platform_sizes =
+      args.quick ? std::vector<std::size_t>{160}
+                 : std::vector<std::size_t>{160, 320, 480};
   MappingSearchOptions prune_options = options;
   prune_options.restarts = 1;
   prune_options.seed = 7;
@@ -520,7 +396,7 @@ int main(int argc, char** argv) {
       args);
   std::cout << "\n";
 
-  // ---- Part 4b: metaheuristic kind portfolio -------------------------------
+  // ---- Part 3b: metaheuristic kind portfolio -------------------------------
   // greedy restarts vs SA/tabu islands at a comparable move budget, each
   // kind bit-identical across worker-thread counts.
   ParallelSearchOptions kind_portfolio;
@@ -650,11 +526,9 @@ int main(int argc, char** argv) {
   summary.set("bench", "search_throughput")
       .set("quick", args.quick)
       .set("default_instance", default_json)
-      .set("large_platform", large_json)
       .set("threads_sweep", sweep_json)
       .set("search_pruning", pruning_json)
       .set("shape_ok", default_identical && default_speedup_ok &&
-                           policy_identical && policy_speedup_ok &&
                            sweep_identical &&
                            (!sweep_hardware_ok || sweep_speedup_ok) &&
                            prune_identical && prune_effective &&

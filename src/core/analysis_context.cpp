@@ -358,15 +358,10 @@ AnalysisContext::MoveProbe AnalysisContext::probe_move(const MappingMove& move,
 
   std::optional<Mapping> candidate;
   try {
-    if (candidate_policy_ == CandidatePolicy::kSharedDerive) {
-      // Shares the base's immutable instance; only the links adjacent to a
-      // touched team are revalidated (the base covers the rest).
-      candidate.emplace(Mapping::with_teams(
-          base, scratch_teams_, {touched[0], touched[1]}));
-    } else {
-      // Reference path: deep-copy the instance and validate everything.
-      candidate.emplace(base.application(), base.platform(), scratch_teams_);
-    }
+    // Shares the base's immutable instance; only the links adjacent to a
+    // touched team are revalidated (the base covers the rest).
+    candidate.emplace(
+        Mapping::with_teams(base, scratch_teams_, {touched[0], touched[1]}));
   } catch (const InvalidArgument&) {
     // e.g. a used link has no bandwidth on this platform
     return MoveProbe{};

@@ -104,37 +104,11 @@ struct MappingMove {
   bool operator==(const MappingMove&) const = default;
 };
 
-/// How evaluate_move() constructs its candidate Mapping from the base.
-/// Scores are bit-identical under both policies — only construction cost
-/// differs (tests/test_analysis_context.cpp and tests/test_heuristics.cpp
-/// pin whole searches equal under both, including against scores produced
-/// by the pre-refactor library).
-enum class CandidatePolicy {
-  /// Share the base's immutable instance and revalidate only the teams the
-  /// move touches (Mapping::with_teams). The default: candidate
-  /// construction is O(M + touched R^2) with no allocation of the
-  /// bandwidth matrix.
-  kSharedDerive,
-  /// The pre-sharing path: deep-copy the Application/Platform into a fresh
-  /// instance and re-run the full constructor validation. Kept as the
-  /// reference implementation for the equivalence tests and the
-  /// bench/search_throughput baseline; produces bit-identical scores.
-  kCopyValidate,
-};
-
 class AnalysisContext {
  public:
   explicit AnalysisContext(ExponentialOptions options = {});
 
   const ExponentialOptions& exponential_options() const { return options_; }
-
-  /// Candidate-construction strategy of evaluate_move(). Scores are
-  /// bit-identical under both policies (tested); only construction cost
-  /// differs.
-  CandidatePolicy candidate_policy() const { return candidate_policy_; }
-  void set_candidate_policy(CandidatePolicy policy) {
-    candidate_policy_ = policy;
-  }
 
   /// Drop-in for the free exponential_throughput(): same contract, same
   /// bits, but pattern solves go through the cache and arenas are reused.
@@ -282,7 +256,6 @@ class AnalysisContext {
   void debug_check_store_hit(const CommPattern& pattern, double rate);
 
   ExponentialOptions options_;
-  CandidatePolicy candidate_policy_ = CandidatePolicy::kSharedDerive;
   AnalysisCacheStats stats_;
   /// Optional shared second tier behind pattern_cache_ (not owned).
   PatternStore* store_ = nullptr;

@@ -550,7 +550,7 @@ MappingSearchResult optimize_mapping(const InstancePtr& instance,
   }
 
   auto mapping = realize(instance, best.assignment, options.max_paths);
-  SF_ASSERT(mapping.has_value(), "search ended on an infeasible assignment");
+  if (!mapping) throw InvalidArgument("no restart reached a feasible mapping");
   const AnalysisCacheStats& after = context.stats();
   return MappingSearchResult{std::move(*mapping),
                              best.score,

@@ -153,10 +153,11 @@ struct MappingSearchResult {
 };
 
 /// Runs the search. Requires num_processors >= num_stages.
-/// Throws InvalidArgument for kExponential with the Strict model.
-/// The overload without a context uses a private throwaway
-/// AnalysisContext; pass a shared context to reuse pattern solves across
-/// searches (results are identical either way — see the determinism tests).
+/// Throws InvalidArgument for kExponential with the Strict model, and
+/// when no restart reaches a feasible mapping. The overload without a
+/// context uses a private throwaway AnalysisContext; pass a shared context
+/// to reuse pattern solves across searches (results are identical either
+/// way — see the determinism tests).
 ///
 /// The InstancePtr overloads are the primary entry points: every candidate
 /// mapping of the whole search shares that one immutable instance (no copy

@@ -15,19 +15,6 @@
 
 namespace streamflow {
 
-/// How the simulators consume randomness (see sim/teg_sim.hpp,
-/// sim/pipeline_sim.hpp for which option lives where).
-enum class SamplingMode {
-  /// One pure split() substream per resource, each served through a
-  /// SIMD-refilled BatchSampler. The default: same statistics, deterministic
-  /// for a given (inputs, seed), and several times faster.
-  kBatched,
-  /// The legacy discipline: every draw comes one call at a time from the
-  /// single injected stream, in program order. Kept as the reference the
-  /// batched path is benchmarked (and sanity-checked) against.
-  kScalarCompat,
-};
-
 class BatchSampler {
  public:
   /// Variates cached per refill: small enough that a stream consuming a few

@@ -27,9 +27,8 @@ std::size_t ParallelSearchOptions::resolved_threads() const {
 namespace {
 
 /// Base stream of one scenario: Prng(seed), advanced `scenario` long jumps
-/// (2^192 draws each) when scenario streams are on. Long jumps and the
-/// per-restart short jumps (2^128) tile disjoint stretches of the xoshiro
-/// period, so scenario families never collide with restart substreams.
+/// (2^192 draws each) when scenario streams are on, so scenario families
+/// never overlap.
 Prng scenario_base_stream(std::uint64_t seed, std::size_t scenario,
                           bool scenario_streams) {
   Prng base(seed);
@@ -41,30 +40,17 @@ Prng scenario_base_stream(std::uint64_t seed, std::size_t scenario,
 
 /// Materializes the start assignments of restarts 1..R-1, serially, before
 /// any worker runs — this is where thread count is decoupled from the
-/// random draws. Sequential-compat consumes `base` in restart order (the
-/// serial optimize_mapping draws); substream seeding copies `base` advanced
-/// k jumps for restart k (equal to StreamFactory(seed).stream(k) when
-/// `base` is Prng(seed)).
+/// random draws. `base` is consumed in restart order: exactly the draws the
+/// serial optimize_mapping makes.
 std::vector<StageAssignment> materialize_starts(const InstancePtr& instance,
                                                 std::size_t restarts,
-                                                RestartSeeding seeding,
                                                 Prng base) {
   std::vector<StageAssignment> starts;
   if (restarts <= 1) return starts;
   starts.reserve(restarts - 1);
-  const Application& application = instance->application;
-  const Platform& platform = instance->platform;
-  if (seeding == RestartSeeding::kSequentialCompat) {
-    for (std::size_t k = 1; k < restarts; ++k) {
-      starts.push_back(draw_restart_assignment(application, platform, base));
-    }
-  } else {
-    Prng frontier = base;  // substream k = base advanced k jumps
-    for (std::size_t k = 1; k < restarts; ++k) {
-      frontier.jump();
-      Prng stream = frontier;
-      starts.push_back(draw_restart_assignment(application, platform, stream));
-    }
+  for (std::size_t k = 1; k < restarts; ++k) {
+    starts.push_back(draw_restart_assignment(instance->application,
+                                             instance->platform, base));
   }
   return starts;
 }
@@ -95,7 +81,7 @@ ParallelSearchResult assemble(const InstancePtr& instance,
   const std::size_t best = reduce_best(rows);
   auto mapping =
       realize_assignment(instance, rows[best].assignment, search.max_paths);
-  SF_ASSERT(mapping.has_value(), "search ended on an infeasible assignment");
+  if (!mapping) throw InvalidArgument("no restart reached a feasible mapping");
 
   ParallelSearchResult result{std::move(*mapping),
                               rows[best].score,
@@ -311,9 +297,8 @@ ParallelSearchResult parallel_optimize_mapping(
     return run_island_portfolio(instance, options);
   }
   const std::size_t restarts = std::max<std::size_t>(options.search.restarts, 1);
-  const std::vector<StageAssignment> starts = materialize_starts(
-      instance, restarts, options.seeding,
-      scenario_base_stream(options.search.seed, 0, false));
+  const std::vector<StageAssignment> starts =
+      materialize_starts(instance, restarts, Prng(options.search.seed));
   const std::size_t threads =
       std::min<std::size_t>(options.resolved_threads(), restarts);
 
@@ -370,7 +355,7 @@ std::vector<ParallelSearchResult> parallel_optimize_batch(
   auto run_scenario = [&](std::size_t j,
                           AnalysisContext& context) -> ParallelSearchResult {
     const std::vector<StageAssignment> starts = materialize_starts(
-        instances[j], restarts, options.seeding,
+        instances[j], restarts,
         scenario_base_stream(options.search.seed, j, options.scenario_streams));
     std::vector<RestartResult> rows =
         run_portfolio_serial(instances[j], options.search, starts, context);

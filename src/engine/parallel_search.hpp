@@ -12,8 +12,11 @@
 //
 // Determinism contract (the Bobpp-style guarantee, tested in
 // tests/test_parallel_search.cpp):
-//  * restart k's start is a pure function of (seed, k) — never of thread
-//    count, worker identity, or claim order;
+//  * restart starts are drawn serially from one Prng(seed) in restart
+//    order — exactly the draws the serial optimize_mapping makes — so
+//    restart k's start is a pure function of (seed, k), never of thread
+//    count, worker identity, or claim order, and growing the portfolio
+//    never changes earlier restarts (the prefix property);
 //  * restart outcomes (score, final assignment, evaluation count, pattern
 //    requests) are cache-state independent, so it does not matter which
 //    warm worker context happens to run a restart (the AnalysisContext
@@ -22,9 +25,8 @@
 //    with strict improvement — ties always resolve to the LOWEST restart
 //    index.
 // Together these make ParallelSearchResult a pure function of
-// (instance, options.search, seeding): bit-identical for any `threads`
-// value, including 1, and equal to the serial optimize_mapping under the
-// default sequential-compat seeding.
+// (instance, options.search): bit-identical for any `threads` value,
+// including 1, and equal to the serial optimize_mapping.
 //
 // Thread-safety rules: the Instance is immutable and shared read-only
 // across all workers (no synchronization needed); an AnalysisContext is
@@ -42,34 +44,17 @@ namespace streamflow {
 
 class PatternStore;
 
-/// How restart k obtains its random start.
-enum class RestartSeeding {
-  /// Starts are drawn sequentially from one Prng(seed) in restart order —
-  /// exactly the draws the serial optimize_mapping makes, so the portfolio
-  /// result is bit-identical to the serial search (the PR 4 pinned scores).
-  /// The draws happen serially before fan-out; only the searches run
-  /// concurrently.
-  kSequentialCompat,
-  /// Restart k draws from jump-ahead substream k of the seed
-  /// (StreamFactory: Prng(seed) advanced by k polynomial jumps, 2^128 draws
-  /// apart). Restart k is then a pure function of (seed, k) alone: growing
-  /// the portfolio never changes earlier restarts (the prefix property),
-  /// and shards of a portfolio can be computed on different machines.
-  kSubstreams,
-};
-
 struct ParallelSearchOptions {
   /// Per-restart search options; `search.restarts` is the portfolio size R
   /// (0 and 1 both mean the greedy restart only, as in the serial search)
-  /// and `search.seed` seeds the chosen discipline.
+  /// and `search.seed` seeds the restart starts.
   MappingSearchOptions search;
   /// Worker threads; 0 means std::thread::hardware_concurrency(). The
   /// result does not depend on this value.
   std::size_t threads = 0;
-  RestartSeeding seeding = RestartSeeding::kSequentialCompat;
   /// Batch mode only: give scenario j an independent stream family by
-  /// advancing the seed stream j long jumps (2^192 draws) before the
-  /// per-restart discipline applies. Off by default, so every scenario
+  /// advancing the seed stream j long jumps (2^192 draws) before its
+  /// restart starts are drawn. Off by default, so every scenario
   /// reuses `search.seed` exactly as the serial batch CLI always has.
   bool scenario_streams = false;
   /// Optional process-wide PatternStore (core/pattern_store.hpp) attached
@@ -139,6 +124,7 @@ struct ParallelSearchResult {
 /// (instance, options.search) pair — validated up front, on the caller's
 /// thread. Exceptions thrown inside a restart are rethrown here; when
 /// several restarts fail, the lowest restart index wins (deterministic).
+/// Throws InvalidArgument when no restart reaches a feasible mapping.
 ParallelSearchResult parallel_optimize_mapping(
     const InstancePtr& instance, const ParallelSearchOptions& options);
 

@@ -12,6 +12,7 @@
 #include "engine/sim_replication.hpp"
 #include "fuzz/minimize.hpp"
 #include "maxplus/deterministic.hpp"
+#include "serve/protocol.hpp"
 
 namespace streamflow {
 
@@ -29,30 +30,6 @@ std::string fmt(double value) {
   return os.str();
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 struct SimEstimate {
   double mean = 0.0;
   double halfwidth = 0.0;
@@ -67,7 +44,6 @@ SimEstimate replicated_estimate(const Mapping& mapping, ExecutionModel model,
                                 std::uint64_t seed) {
   PipelineSimOptions sim;
   sim.data_sets = options.data_sets;
-  sim.sampling = options.sampling;
   ExperimentOptions experiment;
   experiment.replications = options.replications;
   experiment.threads = options.threads;
@@ -300,7 +276,7 @@ ScenarioVerdict check_scenario(const Scenario& scenario,
     }
   }
 
-  // ---- Check 4: serial/parallel search + sampling-mode determinism --------
+  // ---- Check 4: serial/parallel search + simulation determinism -----------
   if (selected(CheckId::kDeterminism)) {
     CheckResult& check = verdict.checks[3];
     std::string failure;
@@ -340,34 +316,25 @@ ScenarioVerdict check_scenario(const Scenario& scenario,
       }
     }
 
-    // (b) Replicated simulation bit-identical across thread counts, in both
-    // sampling modes. Small fixed sizes: this is a bit comparison, not an
-    // estimate, so statistical resolution is irrelevant.
+    // (b) Replicated simulation bit-identical across thread counts. Small
+    // fixed sizes: this is a bit comparison, not an estimate, so statistical
+    // resolution is irrelevant.
     if (failure.empty()) {
       const StochasticTiming timing = StochasticTiming::exponential(mapping);
       PipelineSimOptions sim;
       sim.data_sets = std::min<std::int64_t>(options.data_sets, 2000);
-      for (const SamplingMode mode :
-           {SamplingMode::kBatched, SamplingMode::kScalarCompat}) {
-        sim.sampling = mode;
-        ExperimentOptions one, two;
-        one.replications = two.replications =
-            std::min<std::size_t>(options.replications, 4);
-        one.seed = two.seed = options.sim_seed + 2;
-        one.threads = 1;
-        two.threads = 2;
-        const ReplicatedResult a =
-            run_replicated_pipeline(mapping, model, timing, sim, one);
-        const ReplicatedResult b =
-            run_replicated_pipeline(mapping, model, timing, sim, two);
-        if (a.per_replication != b.per_replication) {
-          failure = std::string("replicated simulation differs between 1 and "
-                                "2 threads in ") +
-                    (mode == SamplingMode::kBatched ? "batched"
-                                                    : "scalar-compat") +
-                    " sampling mode";
-          break;
-        }
+      ExperimentOptions one, two;
+      one.replications = two.replications =
+          std::min<std::size_t>(options.replications, 4);
+      one.seed = two.seed = options.sim_seed + 2;
+      one.threads = 1;
+      two.threads = 2;
+      const ReplicatedResult a =
+          run_replicated_pipeline(mapping, model, timing, sim, one);
+      const ReplicatedResult b =
+          run_replicated_pipeline(mapping, model, timing, sim, two);
+      if (a.per_replication != b.per_replication) {
+        failure = "replicated simulation differs between 1 and 2 threads";
       }
     }
 
@@ -534,7 +501,6 @@ HarnessReport run_diff_harness(const HarnessOptions& options,
   report.count = options.count;
   report.replications = options.replications;
   report.data_sets = options.data_sets;
-  report.sampling = options.sampling;
   report.verdicts.reserve(options.count);
 
   for (std::uint64_t index = 0; index < options.count; ++index) {
@@ -592,9 +558,6 @@ std::string HarnessReport::to_json() const {
   os << "  \"count\": " << count << ",\n";
   os << "  \"replications\": " << replications << ",\n";
   os << "  \"data_sets\": " << data_sets << ",\n";
-  os << "  \"sampling\": \""
-     << (sampling == SamplingMode::kBatched ? "batched" : "scalar-compat")
-     << "\",\n";
   os << "  \"summary\": {\"pass\": " << passes << ", \"fail\": " << fails
      << ", \"skip\": " << skips << ", \"divergences\": " << divergences.size()
      << "},\n";

@@ -15,8 +15,7 @@
 //                    timings, so deterministic means maximize throughput);
 //   kDeterminism   — serial optimize_mapping equals the parallel portfolio
 //                    bit-for-bit, and the replicated simulator is
-//                    bit-identical across thread counts in BOTH sampling
-//                    modes (batched and scalar-compat);
+//                    bit-identical across thread counts;
 //   kPrunedSearch  — the bound-screened search (BoundPolicy::kMct and
 //                    kMctMaxplus) returns the same mapping, score, and
 //                    evaluation count as the unscreened search, bit for bit
@@ -41,12 +40,9 @@
 // scenario (fuzz/minimize.hpp) while the same check keeps failing and emits
 // the shrunk scenario as a replayable fixture (scenario_to_string).
 //
-// Determinism contract: with a fixed sampling mode the whole HarnessReport
-// — every number in to_json() included — is a pure function of
-// (HarnessOptions, hooks), independent of `threads`. The digest() (statuses
-// only, no floats) is additionally identical across sampling modes, because
-// the two draw disciplines are different but equally valid estimators of
-// the same quantities. Pinned by tools/fuzz_smoke.cmake and
+// Determinism contract: the whole HarnessReport — every number in to_json()
+// included — is a pure function of (HarnessOptions, hooks), independent of
+// `threads`. Pinned by tools/fuzz_smoke.cmake and
 // tests/test_fuzz_harness.cpp.
 #pragma once
 
@@ -135,9 +131,6 @@ struct HarnessOptions {
   /// Worker threads for the replicated sims and the parallel search; 0 =
   /// hardware concurrency. The report does not depend on this value.
   std::size_t threads = 1;
-  /// Draw discipline of the simulators (see sim/pipeline_sim.hpp). The
-  /// digest is identical across modes; the raw numbers are not.
-  SamplingMode sampling = SamplingMode::kBatched;
   /// Minimize each divergence before reporting it.
   bool minimize = true;
   /// Statistical slack: a bound b and estimate (mean, hw) disagree only
@@ -192,15 +185,13 @@ struct HarnessReport {
   std::size_t count = 0;
   std::size_t replications = 0;
   std::int64_t data_sets = 0;
-  SamplingMode sampling = SamplingMode::kBatched;
 
   /// Status-only verdict: one line per scenario plus a summary. Contains no
-  /// floating-point values, so it is bit-identical across thread counts AND
-  /// across sampling modes.
+  /// floating-point values, so it is bit-identical across thread counts.
   std::string digest() const;
 
   /// Full machine-readable report (statuses, details, observed values).
-  /// Bit-identical across thread counts for a fixed sampling mode.
+  /// Bit-identical across thread counts.
   std::string to_json() const;
 };
 

@@ -32,8 +32,8 @@ class History {
   std::vector<double> values_;
 };
 
-/// Type-erased sampler for the paths where per-draw overhead is acceptable
-/// (scalar-compat mode, association multipliers).
+/// Type-erased sampler for the associated case, whose association
+/// multipliers are drawn once per data set, not once per time.
 struct Sampler {
   /// comp(i, n): computation time of stage i for data set n;
   /// comm(i, n): transfer time of file F_i for data set n.
@@ -236,31 +236,12 @@ PipelineSimResult simulate_pipeline(const Mapping& mapping,
                                     const StochasticTiming& timing, Prng& prng,
                                     const PipelineSimOptions& options) {
   options.validate();
-  if (options.sampling == SamplingMode::kBatched) {
-    // Per-resource substreams split from the stream's entry state; the
-    // parent advances exactly one draw so back-to-back simulations on the
-    // same injected stream see fresh substream families.
-    const Prng root = prng;
-    (void)prng();
-    BatchedTimingSampler sampler(mapping, timing, root, options);
-    return run(mapping, model, sampler, options);
-  }
-  Sampler sampler;
-  sampler.comp = [&mapping, &timing, &prng](std::size_t i, std::int64_t n) {
-    const auto& team = mapping.team(i);
-    const std::size_t p = team[static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(team.size()))];
-    return timing.comp(p)->sample(prng);
-  };
-  sampler.comm = [&mapping, &timing, &prng](std::size_t i, std::int64_t n) {
-    const auto& senders = mapping.team(i);
-    const auto& receivers = mapping.team(i + 1);
-    const std::size_t p = senders[static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(senders.size()))];
-    const std::size_t q = receivers[static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(receivers.size()))];
-    return timing.comm(p, q)->sample(prng);
-  };
+  // Per-resource substreams split from the stream's entry state; the
+  // parent advances exactly one draw so back-to-back simulations on the
+  // same injected stream see fresh substream families.
+  const Prng root = prng;
+  (void)prng();
+  BatchedTimingSampler sampler(mapping, timing, root, options);
   return run(mapping, model, sampler, options);
 }
 
@@ -286,43 +267,35 @@ PipelineSimResult simulate_pipeline_associated(
   std::vector<double> size_mult(n_stages > 1 ? n_stages - 1 : 0, 1.0);
   std::int64_t drawn_for = -1;
 
-  // Batched mode: one BatchSampler per multiplier slot (a single shared
-  // slot for kPerDataSet; one per stage and per link for kPerStage), each
-  // on its own pure substream of the entry state, consumed in data-set
-  // order. Scalar-compat mode leaves slot_samplers empty and draws from the
-  // injected stream inline.
+  // One BatchSampler per multiplier slot (a single shared slot for
+  // kPerDataSet; one per stage and per link for kPerStage), each on its own
+  // pure substream of the entry state, consumed in data-set order.
+  const Prng root = prng;
+  (void)prng();
+  const std::size_t n_slots = scope == AssociationScope::kPerDataSet
+                                  ? 1
+                                  : work_mult.size() + size_mult.size();
+  const std::size_t block =
+      pick_block_draws(n_slots, static_cast<std::size_t>(options.data_sets));
   std::vector<BatchSampler> slot_samplers;
-  if (options.sampling == SamplingMode::kBatched) {
-    const Prng root = prng;
-    (void)prng();
-    const std::size_t n_slots = scope == AssociationScope::kPerDataSet
-                                    ? 1
-                                    : work_mult.size() + size_mult.size();
-    const std::size_t block = pick_block_draws(
-        n_slots, static_cast<std::size_t>(options.data_sets));
-    slot_samplers.reserve(n_slots);
-    for (std::size_t k = 0; k < n_slots; ++k) {
-      slot_samplers.emplace_back(unit_law, root.split(k), options.refill_isa,
-                                 block);
-    }
+  slot_samplers.reserve(n_slots);
+  for (std::size_t k = 0; k < n_slots; ++k) {
+    slot_samplers.emplace_back(unit_law, root.split(k), options.refill_isa,
+                               block);
   }
 
   auto refresh = [&](std::int64_t n) {
     if (drawn_for == n) return;
     drawn_for = n;
-    const bool batched = !slot_samplers.empty();
     if (scope == AssociationScope::kPerDataSet) {
-      const double shared =
-          batched ? slot_samplers[0].next() : unit_law->sample(prng);
+      const double shared = slot_samplers[0].next();
       for (double& w : work_mult) w = shared;
       for (double& s : size_mult) s = shared;
       return;
     }
     std::size_t slot = 0;
-    for (double& w : work_mult)
-      w = batched ? slot_samplers[slot++].next() : unit_law->sample(prng);
-    for (double& s : size_mult)
-      s = batched ? slot_samplers[slot++].next() : unit_law->sample(prng);
+    for (double& w : work_mult) w = slot_samplers[slot++].next();
+    for (double& s : size_mult) s = slot_samplers[slot++].next();
   };
 
   Sampler sampler;

@@ -37,16 +37,12 @@ struct PipelineSimOptions {
   /// Fraction of the nominal bandwidth actually achievable; the paper's
   /// SimGrid runs use 0.92 (communication times are divided by this).
   double bandwidth_efficiency = 1.0;
-  /// kBatched (default): each resource (team member's compute unit, link,
-  /// association multiplier slot) draws from its own pure split() substream
-  /// of the injected stream's entry state, served through SIMD-refilled
-  /// BatchSamplers. kScalarCompat keeps the legacy discipline (every draw
-  /// from the single injected stream in program order). Different (equally
-  /// valid) draw assignments: numerically different, statistically the same,
-  /// both deterministic for a given (inputs, seed).
-  SamplingMode sampling = SamplingMode::kBatched;
-  /// Refill kernel for the batched mode; kAuto picks the best the CPU
-  /// supports. Tests force scalar/SSE4/AVX2 to pin byte-equality per path.
+  /// Refill kernel of the per-resource samplers: each resource (team
+  /// member's compute unit, link, association multiplier slot) draws from
+  /// its own pure split() substream of the injected stream's entry state,
+  /// served through SIMD-refilled BatchSamplers. kAuto picks the best the
+  /// CPU supports. Tests force scalar/SSE4/AVX2 to pin byte-equality per
+  /// path.
   simd::Isa refill_isa = simd::Isa::kAuto;
 
   /// Rejects out-of-range settings (data_sets < 10, warmup_fraction outside

@@ -47,14 +47,11 @@ std::vector<std::size_t> token_free_topo_order(const TimedEventGraph& graph) {
   return order;
 }
 
-/// The (max,plus) round loop, generic over how transition t draws its
-/// firing time (scalar-compat: one shared stream in program order; batched:
-/// one BatchSampler per transition). Static dispatch — a per-draw
-/// std::function here would cost exactly the call overhead the batched
-/// sampling layer exists to remove.
-template <typename DrawFn>
+/// The (max,plus) round loop; transition t draws its firing times from
+/// samplers[t].
 TegSimResult run_rounds(const TimedEventGraph& graph,
-                        const TegSimOptions& options, DrawFn&& draw) {
+                        const TegSimOptions& options,
+                        std::vector<BatchSampler>& samplers) {
   const std::vector<std::size_t> order = token_free_topo_order(graph);
 
   // prev[t] = completion of firing k-1, curr[t] = completion of firing k.
@@ -84,7 +81,7 @@ TegSimResult run_rounds(const TimedEventGraph& graph,
             p.initial_tokens > 0 ? prev[p.from] : curr[p.from];
         ready = std::max(ready, avail);
       }
-      curr[t] = ready + draw(t);
+      curr[t] = ready + samplers[t].next();
     }
     if (k == warmup_rounds) {
       for (std::size_t i = 0; i < last_col.size(); ++i)
@@ -131,16 +128,10 @@ TegSimResult simulate_teg(const TimedEventGraph& graph,
              "need one law per transition");
   options.validate();
 
-  if (options.sampling == SamplingMode::kScalarCompat) {
-    return run_rounds(graph, options,
-                      [&](std::size_t t) { return laws[t]->sample(prng); });
-  }
-
-  // Batched: transition t draws from the pure child substream split(t) of
-  // the stream's entry state. The parent is advanced exactly one draw so
-  // that back-to-back simulations on the same injected stream see fresh
-  // (decorrelated) substream families, as they did when draws were consumed
-  // inline.
+  // Transition t draws from the pure child substream split(t) of the
+  // stream's entry state. The parent is advanced exactly one draw so that
+  // back-to-back simulations on the same injected stream see fresh
+  // (decorrelated) substream families.
   const Prng root = prng;
   (void)prng();
   const std::size_t raw_block = pick_block_draws(
@@ -150,8 +141,7 @@ TegSimResult simulate_teg(const TimedEventGraph& graph,
   for (std::size_t t = 0; t < laws.size(); ++t)
     samplers.emplace_back(laws[t], root.split(t), options.refill_isa,
                           raw_block);
-  return run_rounds(graph, options,
-                    [&](std::size_t t) { return samplers[t].next(); });
+  return run_rounds(graph, options, samplers);
 }
 
 TegSimResult simulate_teg(const TimedEventGraph& graph,

@@ -28,17 +28,12 @@ struct TegSimOptions {
   /// Seed for the seed-taking simulate_teg overload; ignored when a Prng is
   /// injected (the experiment engine derives substreams itself).
   std::uint64_t seed = 42;
-  /// kBatched (default): each transition draws from its own pure
-  /// split() substream of the injected stream's entry state, served through
-  /// a SIMD-refilled BatchSampler — deterministic for a given (graph, laws,
-  /// stream state) and independent of everything else. kScalarCompat keeps
-  /// the legacy discipline (all transitions draw from the injected stream
-  /// in program order). The two modes realize different (equally valid)
-  /// draw assignments, so their results differ numerically but agree
-  /// statistically.
-  SamplingMode sampling = SamplingMode::kBatched;
-  /// Refill kernel for the batched mode; kAuto picks the best the CPU
-  /// supports. Tests force scalar/SSE4/AVX2 to pin byte-equality per path.
+  /// Refill kernel of the per-transition samplers: each transition draws
+  /// from its own pure split() substream of the injected stream's entry
+  /// state, served through a SIMD-refilled BatchSampler — deterministic for
+  /// a given (graph, laws, stream state) and independent of everything
+  /// else. kAuto picks the best the CPU supports. Tests force
+  /// scalar/SSE4/AVX2 to pin byte-equality per path.
   simd::Isa refill_isa = simd::Isa::kAuto;
 
   /// Rejects out-of-range settings (rounds < 10, warmup_fraction outside

@@ -3,8 +3,7 @@
 // when its evaluator is skewed through a HarnessHooks shim — the guard
 // against a vacuously green harness — and every divergence must be reported
 // and minimized into a replayable fixture. Also pins the library-level
-// determinism contract: digest identical across sampling modes, full JSON
-// identical across thread counts.
+// determinism contract: digest and full JSON identical across thread counts.
 #include "fuzz/diff_harness.hpp"
 
 #include <gtest/gtest.h>
@@ -241,18 +240,13 @@ TEST(FuzzHarness, ShrinkCandidatesOnlyShrink) {
 
 // ---- Library-level determinism contract ------------------------------------
 
-TEST(FuzzHarness, DigestIdenticalAcrossSamplingModesAndJsonAcrossThreads) {
-  HarnessOptions batched = fast_options();
-  HarnessOptions scalar = fast_options();
-  scalar.sampling = SamplingMode::kScalarCompat;
-  const HarnessReport r_batched = run_diff_harness(batched);
-  const HarnessReport r_scalar = run_diff_harness(scalar);
-  EXPECT_EQ(r_batched.digest(), r_scalar.digest());
-
+TEST(FuzzHarness, DigestAndJsonIdenticalAcrossThreads) {
+  const HarnessReport serial = run_diff_harness(fast_options());
   HarnessOptions threaded = fast_options();
   threaded.threads = 2;
-  const HarnessReport r_threaded = run_diff_harness(threaded);
-  EXPECT_EQ(r_batched.to_json(), r_threaded.to_json());
+  const HarnessReport parallel = run_diff_harness(threaded);
+  EXPECT_EQ(serial.digest(), parallel.digest());
+  EXPECT_EQ(serial.to_json(), parallel.to_json());
 }
 
 }  // namespace

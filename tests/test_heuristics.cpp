@@ -268,37 +268,6 @@ TEST(Heuristics, PinnedScoresMatchThePreSharingImplementation) {
   }
 }
 
-TEST(Heuristics, CandidatePoliciesProduceIdenticalSearches) {
-  // kCopyValidate is the pre-refactor candidate-construction path kept as
-  // the reference implementation; a whole search under it must retrace the
-  // kSharedDerive search exactly (same trajectory, scores, and counts).
-  Application app({2.0, 8.0, 3.0}, {1.0, 1.0});
-  Platform platform = Platform::fully_connected(
-      {1.0, 1.5, 2.0, 0.8, 1.2, 2.5, 0.9}, 4.0);
-  Prng prng(3);
-  for (std::size_t p = 0; p < 7; ++p) {
-    for (std::size_t q = p + 1; q < 7; ++q) {
-      platform.set_bandwidth(p, q, 2.0 + 3.0 * prng.uniform01());
-    }
-  }
-  MappingSearchOptions options;
-  options.objective = MappingObjective::kExponential;
-  options.restarts = 3;
-  options.seed = 42;
-
-  AnalysisContext shared_context;
-  shared_context.set_candidate_policy(CandidatePolicy::kSharedDerive);
-  const auto shared = optimize_mapping(app, platform, options, shared_context);
-
-  AnalysisContext copy_context;
-  copy_context.set_candidate_policy(CandidatePolicy::kCopyValidate);
-  const auto copied = optimize_mapping(app, platform, options, copy_context);
-
-  expect_same_result(shared, copied);
-  EXPECT_EQ(shared.pattern_cache_misses, copied.pattern_cache_misses);
-  EXPECT_EQ(shared.pattern_cache_hits, copied.pattern_cache_hits);
-}
-
 TEST(Heuristics, ReportsCacheStatsPerObjective) {
   Application app({1.0, 12.0, 1.0}, {0.1, 0.1});
   Platform platform = Platform::fully_connected(

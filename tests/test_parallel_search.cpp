@@ -2,11 +2,11 @@
 //
 // The contract under test (engine/parallel_search.hpp): the portfolio result
 // — best mapping, scores, the whole per-restart trace, and every counter —
-// is a pure function of (instance, search options, seeding). In particular
-// it is bit-identical for any thread count, equal to the serial
-// optimize_mapping under sequential-compat seeding, equal to a hand-rolled
-// serial replay of the exposed single-restart primitives, and ties in the
-// reduction always resolve to the lowest restart index.
+// is a pure function of (instance, search options). In particular it is
+// bit-identical for any thread count, equal to the serial optimize_mapping,
+// equal to a hand-rolled serial replay of the exposed single-restart
+// primitives, unchanged in its earlier restarts when the portfolio grows,
+// and ties in the reduction always resolve to the lowest restart index.
 #include "engine/parallel_search.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "common/prng.hpp"
 #include "core/analysis_context.hpp"
 #include "engine/stream_factory.hpp"
+#include "model/random_instance.hpp"
 #include "test_helpers.hpp"
 
 namespace streamflow {
@@ -85,32 +86,28 @@ void expect_same_result(const ParallelSearchResult& a,
 
 TEST(ParallelSearch, BitIdenticalAcrossThreadCounts) {
   const InstancePtr instance = heterogeneous_instance();
-  for (const RestartSeeding seeding :
-       {RestartSeeding::kSequentialCompat, RestartSeeding::kSubstreams}) {
-    ParallelSearchOptions options;
-    options.search = search_options(6);
-    options.seeding = seeding;
-    options.threads = 1;
-    const ParallelSearchResult reference =
+  ParallelSearchOptions options;
+  options.search = search_options(6);
+  options.threads = 1;
+  const ParallelSearchResult reference =
+      parallel_optimize_mapping(instance, options);
+  EXPECT_EQ(reference.threads_used, 1u);
+  EXPECT_EQ(reference.restarts, 6u);
+  for (const std::size_t threads : {2, 8}) {
+    options.threads = threads;
+    const ParallelSearchResult result =
         parallel_optimize_mapping(instance, options);
-    EXPECT_EQ(reference.threads_used, 1u);
-    EXPECT_EQ(reference.restarts, 6u);
-    for (const std::size_t threads : {2, 8}) {
-      options.threads = threads;
-      const ParallelSearchResult result =
-          parallel_optimize_mapping(instance, options);
-      EXPECT_EQ(result.threads_used, std::min<std::size_t>(threads, 6));
-      expect_same_result(reference, result);
-    }
+    EXPECT_EQ(result.threads_used, std::min<std::size_t>(threads, 6));
+    expect_same_result(reference, result);
   }
 }
 
-TEST(ParallelSearch, CompatSeedingEqualsTheSerialSearch) {
-  // Under sequential-compat seeding the portfolio IS the serial
-  // optimize_mapping, restart for restart: same mapping, bitwise-equal
-  // scores, same total evaluation count, and the same number of pattern
-  // solves requested (the serial hit/miss split differs — one shared cache
-  // versus per-worker caches — but the request total is cache-independent).
+TEST(ParallelSearch, PortfolioEqualsTheSerialSearch) {
+  // The portfolio IS the serial optimize_mapping, restart for restart: same
+  // mapping, bitwise-equal scores, same total evaluation count, and the same
+  // number of pattern solves requested (the serial hit/miss split differs —
+  // one shared cache versus per-worker caches — but the request total is
+  // cache-independent).
   const InstancePtr instance = heterogeneous_instance();
   const MappingSearchOptions search = search_options(5);
 
@@ -137,45 +134,34 @@ TEST(ParallelSearch, CompatSeedingEqualsTheSerialSearch) {
 
 TEST(ParallelSearch, TraceMatchesAHandRolledSerialReplay) {
   // Replay every restart through the exposed single-restart primitives,
-  // each on a fresh private context — the parallel trace must match row for
-  // row (trajectories, scores, and counts), for both seeding disciplines.
+  // each on a fresh private context and with its start drawn from one
+  // Prng(seed) in restart order — the parallel trace must match row for row
+  // (trajectories, scores, and counts).
   const InstancePtr instance = heterogeneous_instance();
   const MappingSearchOptions search = search_options(5, 1234);
-  const Application& app = instance->application;
-  const Platform& platform = instance->platform;
+  ParallelSearchOptions options;
+  options.search = search;
+  options.threads = 4;
+  const ParallelSearchResult result =
+      parallel_optimize_mapping(instance, options);
+  ASSERT_EQ(result.trace.size(), 5u);
 
-  for (const RestartSeeding seeding :
-       {RestartSeeding::kSequentialCompat, RestartSeeding::kSubstreams}) {
-    ParallelSearchOptions options;
-    options.search = search;
-    options.seeding = seeding;
-    options.threads = 4;
-    const ParallelSearchResult result =
-        parallel_optimize_mapping(instance, options);
-    ASSERT_EQ(result.trace.size(), 5u);
-
-    {
-      AnalysisContext context;
-      expect_same_trace_row(
-          result.trace[0], run_greedy_restart(instance, search, context), 0);
-    }
-    StreamFactory factory(search.seed);
-    Prng sequential(search.seed);
-    for (std::size_t k = 1; k < 5; ++k) {
-      StageAssignment start;
-      if (seeding == RestartSeeding::kSequentialCompat) {
-        start = draw_restart_assignment(app, platform, sequential);
-      } else {
-        // Substream mode: restart k's start comes from StreamFactory
-        // substream k — a pure function of (seed, k).
-        Prng stream = factory.stream(k);
-        start = draw_restart_assignment(app, platform, stream);
-      }
-      AnalysisContext context;
-      expect_same_trace_row(
-          result.trace[k],
-          run_random_restart(instance, std::move(start), search, context), k);
-    }
+  {
+    AnalysisContext context;
+    expect_same_trace_row(
+        result.trace[0], run_greedy_restart(instance, search, context), 0);
+  }
+  Prng sequential(search.seed);
+  for (std::size_t k = 1; k < 5; ++k) {
+    AnalysisContext context;
+    expect_same_trace_row(
+        result.trace[k],
+        run_random_restart(instance,
+                           draw_restart_assignment(instance->application,
+                                                   instance->platform,
+                                                   sequential),
+                           search, context),
+        k);
   }
 }
 
@@ -206,13 +192,13 @@ TEST(ParallelSearch, TiesResolveToTheLowestRestartIndex) {
   EXPECT_EQ(result.throughput, best);
 }
 
-TEST(ParallelSearch, SubstreamSeedingHasThePrefixProperty) {
-  // Restart k is a pure function of (seed, k) under substream seeding, so
-  // growing the portfolio never changes the restarts already computed.
+TEST(ParallelSearch, GrowingThePortfolioKeepsEarlierRestarts) {
+  // Starts are drawn from one Prng(seed) in restart order, so restart k is a
+  // pure function of (seed, k): growing the portfolio (on any thread count)
+  // never changes the restarts already computed.
   const InstancePtr instance = heterogeneous_instance();
   ParallelSearchOptions options;
   options.search = search_options(3, 99);
-  options.seeding = RestartSeeding::kSubstreams;
   options.threads = 2;
   const ParallelSearchResult small = parallel_optimize_mapping(instance, options);
 
@@ -501,6 +487,47 @@ TEST(ParallelSearch, Validation) {
   EXPECT_THROW(
       parallel_optimize_batch({heterogeneous_instance()}, island_batch),
       InvalidArgument);
+}
+
+TEST(ParallelSearch, NoFeasibleMappingFailsClosed) {
+  // Random instances link only consecutive teams of their own mapping, so
+  // on many of them no restart reaches a feasible assignment. Both search
+  // entry points must then throw the documented InvalidArgument — never an
+  // internal invariant failure — and otherwise return a feasible mapping.
+  RandomInstanceOptions generator;
+  generator.num_stages = 4;
+  generator.num_processors = 8;
+  std::size_t found = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t k = 0; k < 30; ++k) {
+    Prng prng = Prng(7).split(k);
+    const InstancePtr instance = random_instance(generator, prng).instance();
+    ParallelSearchOptions options;
+    options.search.restarts = 4;
+    options.threads = 2;
+    const auto outcome = [&](auto&& search) {
+      try {
+        // A Mapping exists only once its teams validated on the platform.
+        const Mapping mapping = search();
+        EXPECT_LE(mapping.num_paths(), options.search.max_paths)
+            << "instance " << k;
+        return true;
+      } catch (const InvalidArgument& error) {
+        EXPECT_STREQ(error.what(), "no restart reached a feasible mapping")
+            << "instance " << k;
+        return false;
+      }
+    };
+    const bool parallel = outcome(
+        [&] { return parallel_optimize_mapping(instance, options).mapping; });
+    const bool serial = outcome(
+        [&] { return optimize_mapping(instance, options.search).mapping; });
+    EXPECT_EQ(parallel, serial) << "instance " << k;
+    ++(parallel ? found : rejected);
+  }
+  // Both outcomes are exercised, so neither branch is vacuous.
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

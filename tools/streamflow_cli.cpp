@@ -7,7 +7,7 @@
 //                        [--replications R] [--threads T]
 //   streamflow search <instance-file> [--objective det|exp]
 //                      [--restarts R] [--seed S] [--max-paths P]
-//                      [--threads T] [--restart-streams]
+//                      [--threads T]
 //                      [--kind greedy|anneal|tabu] [--prune none|mct|maxplus]
 //                      [--islands I] [--sync-rounds N]
 //   streamflow search --scenarios <list-file> [same options]
@@ -16,7 +16,7 @@
 //   streamflow example > my.instance                                # template
 //   streamflow fuzz [--seed S] [--count N] [--replications R]
 //                    [--data-sets N] [--threads T]
-//                    [--sampling batched|scalar] [--json FILE] [--digest]
+//                    [--json FILE] [--digest]
 //                    [--no-minimize] [--divergence-dir DIR]
 //                    [--emit-corpus DIR]
 //
@@ -31,10 +31,9 @@
 // teams) and fans the greedy + local-search restarts out over a thread pool
 // (engine/parallel_search.hpp), each worker scoring candidates through a
 // private memoizing AnalysisContext over the one shared instance. Results
-// are bit-identical for every --threads value: by default the restarts
-// retrace the serial search exactly; --restart-streams seeds restart k from
-// jump-ahead substream k instead (a pure function of (seed, k), so growing
-// --restarts never changes earlier restarts). `--scenarios FILE` runs every
+// are bit-identical for every --threads value and retrace the serial search
+// exactly: restart starts are drawn from --seed in restart order, so growing
+// --restarts never changes earlier restarts. `--scenarios FILE` runs every
 // instance listed in FILE (one path per line, '#' comments, relative to
 // FILE's directory) as a second parallel axis: scenario rows are dispatched
 // across the workers and printed in file order; --scenario-streams gives
@@ -83,7 +82,7 @@ void print_usage(std::ostream& out) {
       << "             [--replications R] [--threads T]\n"
       << "  streamflow search <instance> [--model overlap|strict]\n"
       << "             [--objective det|exp] [--restarts R] [--seed S]\n"
-      << "             [--max-paths P] [--threads T] [--restart-streams]\n"
+      << "             [--max-paths P] [--threads T]\n"
       << "             [--kind greedy|anneal|tabu]\n"
       << "             [--prune none|mct|maxplus]\n"
       << "             [--islands I] [--sync-rounds N]\n"
@@ -98,7 +97,7 @@ void print_usage(std::ostream& out) {
       << "  streamflow example\n"
       << "  streamflow fuzz [--seed S] [--count N] [--replications R]\n"
       << "             [--data-sets N] [--threads T]\n"
-      << "             [--sampling batched|scalar] [--json FILE] [--digest]\n"
+      << "             [--json FILE] [--digest]\n"
       << "             [--no-minimize] [--divergence-dir DIR]\n"
       << "             [--emit-corpus DIR]\n"
       << "  streamflow help | --help\n"
@@ -114,15 +113,15 @@ void print_usage(std::ostream& out) {
       << "pool (--threads T, 0 = all cores); every worker evaluates\n"
       << "candidates through a private memoizing analysis context over the\n"
       << "one shared instance, and the reduction is serial and in restart\n"
-      << "order — results are bit-identical for every --threads value and,\n"
-      << "by default, equal to the serial search. --restart-streams seeds\n"
-      << "restart k from jump-ahead substream k of --seed instead, making\n"
-      << "restart k independent of R. --scenarios runs every instance\n"
-      << "listed in <list-file> (one path per line, '#' comments, paths\n"
-      << "relative to the list file) as a second parallel axis: rows are\n"
-      << "dispatched across the workers and printed in file order;\n"
-      << "--scenario-streams advances scenario j's seed stream j long\n"
-      << "jumps so identical scenarios explore different restarts.\n"
+      << "order — results are bit-identical for every --threads value and\n"
+      << "equal to the serial search. Restart starts are drawn from --seed\n"
+      << "in restart order, so growing R never changes earlier restarts.\n"
+      << "--scenarios runs every instance listed in <list-file> (one path\n"
+      << "per line, '#' comments, paths relative to the list file) as a\n"
+      << "second parallel axis: rows are dispatched across the workers and\n"
+      << "printed in file order; --scenario-streams advances scenario j's\n"
+      << "seed stream j long jumps so identical scenarios explore\n"
+      << "different restarts.\n"
       << "--prune mct screens every move with a cheap admissible rate bound\n"
       << "before the exact solve; --prune maxplus escalates inconclusive\n"
       << "screens through the max-plus deterministic bound. Screens only\n"
@@ -162,18 +161,17 @@ void print_usage(std::ostream& out) {
       << "every timing-law family, and differentially cross-checks six\n"
       << "evaluators on each scenario: the exponential analyzer against the\n"
       << "replicated simulation CI, Theorem 7's N.B.U.E. sandwich, the\n"
-      << "max-plus deterministic upper bound, serial/parallel plus\n"
-      << "sampling-mode determinism, the bound-screened search against\n"
-      << "the unscreened search (bit-identical scores, mappings, and\n"
-      << "evaluation counts), and the warm shared pattern store against\n"
-      << "the private-cache path (bit-identical analyses, component by\n"
-      << "component). Each divergence is minimized and\n"
-      << "written to --divergence-dir as a replayable .scenario fixture;\n"
-      << "--json writes the full machine-readable report; --digest prints\n"
-      << "the status-only digest (bit-identical for every --threads AND\n"
-      << "--sampling value); --no-minimize skips shrinking; --emit-corpus\n"
-      << "writes the corpus itself as .scenario files and exits. Exit code\n"
-      << "is 1 when any check diverged, 0 otherwise.\n";
+      << "max-plus deterministic upper bound, serial/parallel determinism,\n"
+      << "the bound-screened search against the unscreened search\n"
+      << "(bit-identical scores, mappings, and evaluation counts), and the\n"
+      << "warm shared pattern store against the private-cache path\n"
+      << "(bit-identical analyses, component by component). Each divergence\n"
+      << "is minimized and written to --divergence-dir as a replayable\n"
+      << ".scenario fixture; --json writes the full machine-readable\n"
+      << "report; --digest prints the status-only digest (bit-identical for\n"
+      << "every --threads value); --no-minimize skips shrinking;\n"
+      << "--emit-corpus writes the corpus itself as .scenario files and\n"
+      << "exits. Exit code is 1 when any check diverged, 0 otherwise.\n";
 }
 
 int usage() {
@@ -195,7 +193,6 @@ struct CliArgs {
   std::string scenarios_path;
   std::size_t restarts = 4;
   std::int64_t max_paths = 256;
-  bool restart_streams = false;   // substream-per-restart seeding
   bool scenario_streams = false;  // independent stream family per scenario
   std::string kind = "greedy";    // "greedy" | "anneal" | "tabu"
   std::string prune = "none";     // "none" | "mct" | "maxplus"
@@ -215,7 +212,6 @@ struct CliArgs {
   std::size_t count = 25;
   bool replications_given = false;
   bool data_sets_given = false;
-  std::string sampling = "batched";  // "batched" | "scalar"
   std::string json_path;
   std::string divergence_dir;
   std::string emit_corpus_dir;
@@ -313,8 +309,6 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       const char* v = next();
       if (!v || !parse_integer(v, args.max_paths) || args.max_paths <= 0)
         return flag_error(a, v, "a positive integer");
-    } else if (a == "--restart-streams") {
-      args.restart_streams = true;
     } else if (a == "--scenario-streams") {
       args.scenario_streams = true;
     } else if (a == "--kind") {
@@ -341,11 +335,6 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       const char* v = next();
       if (!v || !parse_integer(v, args.count) || args.count == 0)
         return flag_error(a, v, "a positive integer");
-    } else if (a == "--sampling") {
-      const char* v = next();
-      if (!v || (std::string(v) != "batched" && std::string(v) != "scalar"))
-        return flag_error(a, v, "'batched' or 'scalar'");
-      args.sampling = v;
     } else if (a == "--json") {
       const char* v = next();
       if (!v) return flag_error(a, v, "an output file path");
@@ -585,8 +574,6 @@ int cmd_search(const CliArgs& args) {
                           : args.prune == "maxplus" ? BoundPolicy::kMctMaxplus
                                                     : BoundPolicy::kNone;
   options.threads = args.threads;
-  options.seeding = args.restart_streams ? RestartSeeding::kSubstreams
-                                         : RestartSeeding::kSequentialCompat;
   options.scenario_streams = args.scenario_streams;
   options.islands = args.islands;
   options.sync_rounds = args.sync_rounds;
@@ -601,8 +588,6 @@ int cmd_search(const CliArgs& args) {
       options.search.objective == MappingObjective::kDeterministic
           ? "deterministic"
           : "exponential";
-  const char* seeding_name =
-      options.seeding == RestartSeeding::kSubstreams ? "substream" : "serial";
 
   if (args.scenarios_path.empty()) {
     const Mapping instance = load(args.instance_path);
@@ -615,7 +600,7 @@ int cmd_search(const CliArgs& args) {
               << to_string(options.search.model) << " model)\n";
     if (options.search.kind == RestartKind::kGreedyLocal) {
       std::cout << "portfolio    : " << result.restarts << " restart(s), "
-                << seeding_name << " seeding, seed " << args.seed << ", on "
+                << "serial seeding, seed " << args.seed << ", on "
                 << result.threads_used
                 << " worker thread(s) (results independent of --threads)\n";
     } else {
@@ -747,8 +732,6 @@ int cmd_fuzz(const CliArgs& args) {
   if (args.replications_given) options.replications = args.replications;
   if (args.data_sets_given) options.data_sets = args.data_sets;
   options.threads = args.threads;
-  options.sampling = args.sampling == "scalar" ? SamplingMode::kScalarCompat
-                                               : SamplingMode::kBatched;
   options.minimize = !args.no_minimize;
   options.validate();
 
@@ -798,8 +781,8 @@ int cmd_fuzz(const CliArgs& args) {
   }
 
   if (args.digest) {
-    // Status-only digest: bit-identical for every --threads and --sampling
-    // value (pinned by tools/fuzz_smoke.cmake).
+    // Status-only digest: bit-identical for every --threads value (pinned
+    // by tools/fuzz_smoke.cmake).
     std::cout << report.digest();
   } else {
     std::cout << report.digest() << "\n";
