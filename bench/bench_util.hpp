@@ -31,17 +31,19 @@ struct BenchArgs {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
-      if (a == "--csv") args.csv = true;
-      if (a == "--quick") args.quick = true;
-      if (a == "--json") {
-        // A missing or flag-shaped value would silently swallow the next
-        // option (or write nothing at all); fail loudly instead so a CI
-        // step never waits on an artifact that was never going to appear.
-        if (i + 1 >= argc || argv[i + 1][0] == '-') {
-          std::cerr << "error: --json requires an output path\n";
-          std::exit(2);
-        }
+      if (a == "--csv") {
+        args.csv = true;
+      } else if (a == "--quick") {
+        args.quick = true;
+      } else if (a == "--json" && i + 1 < argc && argv[i + 1][0] != '-') {
         args.json_path = argv[++i];
+      } else {
+        // Fail closed: a typo such as --quik would silently run the full
+        // workload, and a --json without its path would leave CI waiting
+        // on an artifact that was never going to appear.
+        std::cerr << "error: unknown or incomplete argument '" << a
+                  << "' (expected --csv, --quick or --json PATH)\n";
+        std::exit(2);
       }
     }
     return args;

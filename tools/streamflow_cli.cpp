@@ -1,60 +1,16 @@
-// streamflow — command-line analyzer.
-//
-// Usage:
-//   streamflow analyze <instance-file> [--model overlap|strict]
-//   streamflow simulate <instance-file> [--model overlap|strict]
-//                        [--law <spec>] [--data-sets N] [--seed S]
-//                        [--replications R] [--threads T]
-//   streamflow search <instance-file> [--objective det|exp]
-//                      [--restarts R] [--seed S] [--max-paths P]
-//                      [--threads T]
-//                      [--kind greedy|anneal|tabu] [--prune none|mct|maxplus]
-//                      [--islands I] [--sync-rounds N]
-//   streamflow search --scenarios <list-file> [same options]
-//                      [--scenario-streams]                       # batch
-//   streamflow export-tpn <instance-file> [--model overlap|strict]  # DOT
-//   streamflow example > my.instance                                # template
-//   streamflow fuzz [--seed S] [--count N] [--replications R]
-//                    [--data-sets N] [--threads T]
-//                    [--json FILE] [--digest]
-//                    [--no-minimize] [--divergence-dir DIR]
-//                    [--emit-corpus DIR]
-//
-// Instance files use the format of model/serialization.hpp. Law specs follow
-// dist/distribution.hpp's parse_distribution ("exp:1", "gauss:10,2", ...).
-// With --replications R > 1 the simulation runs R times on a thread pool,
-// each replication on its own jump-ahead PRNG substream of --seed, and the
-// report gains mean/stddev/95% CI statistics. Results are bit-identical for
-// every --threads value (see README, "Replicated experiments").
-//
-// `search` takes the application and platform of the instance (ignoring its
-// teams) and fans the greedy + local-search restarts out over a thread pool
-// (engine/parallel_search.hpp), each worker scoring candidates through a
-// private memoizing AnalysisContext over the one shared instance. Results
-// are bit-identical for every --threads value and retrace the serial search
-// exactly: restart starts are drawn from --seed in restart order, so growing
-// --restarts never changes earlier restarts. `--scenarios FILE` runs every
-// instance listed in FILE (one path per line, '#' comments, relative to
-// FILE's directory) as a second parallel axis: scenario rows are dispatched
-// across the workers and printed in file order; --scenario-streams gives
-// scenario j an independent stream family (default: all scenarios share
-// --seed, so identical instance files produce identical rows).
-//
-// `--prune mct|maxplus` arms the admissible bound screens of
-// core/analysis_context: cheap deterministic upper bounds filter moves that
-// provably cannot beat the incumbent before the expensive CTMC solve, and
-// the result stays bit-identical to the unscreened search. `--kind
-// anneal|tabu` replaces the greedy restart portfolio with a deterministic
-// metaheuristic island portfolio (--islands islands, --sync-rounds rounds);
-// islands exchange incumbents only at serial sync points, so the result is
-// still a pure function of (seed, options), independent of --threads.
+// streamflow — command-line analyzer; `streamflow_cli --help` documents it.
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <string>
-#include <type_traits>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/table.hpp"
@@ -74,33 +30,10 @@ namespace {
 
 using namespace streamflow;
 
-void print_usage(std::ostream& out) {
-  out << "usage:\n"
-      << "  streamflow analyze <instance> [--model overlap|strict]\n"
-      << "  streamflow simulate <instance> [--model overlap|strict]\n"
-      << "             [--law <spec>] [--data-sets N] [--seed S]\n"
-      << "             [--replications R] [--threads T]\n"
-      << "  streamflow search <instance> [--model overlap|strict]\n"
-      << "             [--objective det|exp] [--restarts R] [--seed S]\n"
-      << "             [--max-paths P] [--threads T]\n"
-      << "             [--kind greedy|anneal|tabu]\n"
-      << "             [--prune none|mct|maxplus]\n"
-      << "             [--islands I] [--sync-rounds N]\n"
-      << "             [--shared-store] [--store-shards N]\n"
-      << "             [--cache-load FILE] [--cache-save FILE]\n"
-      << "  streamflow search --scenarios <list-file> [same options]\n"
-      << "             [--scenario-streams]\n"
-      << "  streamflow serve [--threads T] [--batch B] [--socket PATH]\n"
-      << "             [--store-shards N]\n"
-      << "             [--cache-load FILE] [--cache-save FILE]\n"
-      << "  streamflow export-tpn <instance> [--model overlap|strict]\n"
-      << "  streamflow example\n"
-      << "  streamflow fuzz [--seed S] [--count N] [--replications R]\n"
-      << "             [--data-sets N] [--threads T]\n"
-      << "             [--json FILE] [--digest]\n"
-      << "             [--no-minimize] [--divergence-dir DIR]\n"
-      << "             [--emit-corpus DIR]\n"
-      << "  streamflow help | --help\n"
+/// The fixed tail of --help, after the usage lines generated from kCommands
+/// and kFlags.
+void print_usage_prose(std::ostream& out) {
+  out << "  streamflow help | --help\n"
       << "\n"
       << "simulate with --replications R > 1 runs R independent replications\n"
       << "on a thread pool (--threads T, 0 = all cores) and reports mean,\n"
@@ -174,28 +107,35 @@ void print_usage(std::ostream& out) {
       << "exits. Exit code is 1 when any check diverged, 0 otherwise.\n";
 }
 
-int usage() {
-  print_usage(std::cerr);
-  return 2;
-}
+// Subcommand bits: each flag row names the subcommands that accept it.
+enum : unsigned {
+  kAnalyze = 1u << 0,
+  kSimulate = 1u << 1,
+  kSearch = 1u << 2,
+  kServe = 1u << 3,
+  kExportTpn = 1u << 4,
+  kExample = 1u << 5,
+  kFuzz = 1u << 6,
+};
 
 struct CliArgs {
-  std::string command;
   std::string instance_path;
   ExecutionModel model = ExecutionModel::kOverlap;
   std::string law = "exp:1";  // rescaled per resource to its mean
-  std::int64_t data_sets = 50'000;
+  // Unset = the subcommand's default: one run of 50'000 data sets for
+  // simulate, the harness's own defaults for fuzz.
+  std::optional<std::int64_t> data_sets;
   std::uint64_t seed = 42;
-  std::size_t replications = 1;
+  std::optional<std::size_t> replications;
   std::size_t threads = 0;  // 0 = hardware concurrency
   // search options
-  std::string objective;  // "det" | "exp"; empty = per-model default
+  std::optional<MappingObjective> objective;  // unset = per-model default
   std::string scenarios_path;
   std::size_t restarts = 4;
   std::int64_t max_paths = 256;
   bool scenario_streams = false;  // independent stream family per scenario
-  std::string kind = "greedy";    // "greedy" | "anneal" | "tabu"
-  std::string prune = "none";     // "none" | "mct" | "maxplus"
+  RestartKind kind = RestartKind::kGreedyLocal;
+  BoundPolicy prune = BoundPolicy::kNone;
   std::size_t islands = 4;
   std::size_t sync_rounds = 8;
   // shared pattern store (search and serve)
@@ -206,12 +146,8 @@ struct CliArgs {
   // serve options
   std::size_t batch = 16;    // max requests per dispatched batch
   std::string socket_path;   // empty = stdin/stdout pipe mode
-  // fuzz options (fuzz/diff_harness.hpp). The harness has its own
-  // replications/data-sets defaults, so remember whether the shared flags
-  // were given explicitly.
+  // fuzz options (fuzz/diff_harness.hpp)
   std::size_t count = 25;
-  bool replications_given = false;
-  bool data_sets_given = false;
   std::string json_path;
   std::string divergence_dir;
   std::string emit_corpus_dir;
@@ -219,170 +155,133 @@ struct CliArgs {
   bool no_minimize = false;
 };
 
-/// Strict integer parse: the whole token must be consumed (rejects "1e6",
-/// "7x") and the value must fit the destination type (rejects --seed -1).
-template <typename Int>
-bool parse_integer(const std::string& token, Int& out) {
-  try {
-    std::size_t pos = 0;
-    if constexpr (std::is_unsigned_v<Int>) {
-      if (!token.empty() && token[0] == '-') return false;  // stoull wraps
-      const unsigned long long value = std::stoull(token, &pos);
-      out = static_cast<Int>(value);
-    } else {
-      const long long value = std::stoll(token, &pos);
-      out = static_cast<Int>(value);
-    }
-    return pos == token.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+/// One row of the flag table: the parser, the per-subcommand check and the
+/// --help usage lines all read it.
+struct Flag {
+  std::string_view name;
+  std::string metavar;      // empty for a switch
+  unsigned commands;        // subcommand bits that accept the flag
+  std::string requirement;  // what a rejected value should have been
+  std::function<bool(CliArgs&, std::string_view)> set;  // false = rejected
+};
+
+/// An integer flag of at least `min` (0 or 1). The whole token must parse
+/// and fit the field's type: whitespace, a '+', a '-' on an unsigned field,
+/// a fraction or an overflow rejects it rather than wrapping or truncating.
+template <typename Field>
+Flag integer(std::string_view name, std::string metavar, unsigned commands,
+             Field CliArgs::*field, int min) {
+  // Field is Int or std::optional<Int>; deduction unwraps the optional.
+  using Int =
+      typename decltype(std::optional(std::declval<Field>()))::value_type;
+  return {name, std::move(metavar), commands,
+          min == 0 ? "a non-negative integer" : "a positive integer",
+          [field, min](CliArgs& args, std::string_view token) {
+            Int value = 0;
+            const char* end = token.data() + token.size();
+            const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+            if (ec != std::errc() || ptr != end || std::cmp_less(value, min)) {
+              return false;
+            }
+            args.*field = value;
+            return true;
+          }};
 }
 
-/// Report a bad flag value on stderr and fail the parse. The pre-audit
-/// behavior dumped the full usage text with no hint of WHICH flag was
-/// rejected — "--replications 0" and a typo'd path failed identically.
-bool flag_error(const std::string& flag, const char* value,
-                const char* requirement) {
-  std::cerr << "error: " << flag << " requires " << requirement;
-  if (value) std::cerr << " (got '" << value << "')";
-  std::cerr << "\n";
-  return false;
+template <typename Enum>
+using Spelling = std::pair<std::string_view, Enum>;
+
+constexpr Spelling<ExecutionModel> kModels[] = {
+    {"overlap", ExecutionModel::kOverlap}, {"strict", ExecutionModel::kStrict}};
+constexpr Spelling<MappingObjective> kObjectives[] = {
+    {"det", MappingObjective::kDeterministic},
+    {"exp", MappingObjective::kExponential}};
+constexpr Spelling<RestartKind> kKinds[] = {
+    {"greedy", RestartKind::kGreedyLocal},
+    {"anneal", RestartKind::kAnnealing},
+    {"tabu", RestartKind::kTabu}};
+constexpr Spelling<BoundPolicy> kPrunes[] = {
+    {"none", BoundPolicy::kNone},
+    {"mct", BoundPolicy::kMct},
+    {"maxplus", BoundPolicy::kMctMaxplus}};
+
+/// The spelling of `value`; every enumerator has one in its table.
+template <typename Enum, std::size_t N>
+std::string_view spelling(const Spelling<Enum> (&spellings)[N], Enum value) {
+  return std::ranges::find(spellings, value, &Spelling<Enum>::second)->first;
 }
 
-bool parse_args(int argc, char** argv, CliArgs& args) {
-  if (argc < 2) return false;
-  args.command = argv[1];
-  int positional = 0;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    if (a == "--model") {
-      const char* v = next();
-      if (!v || (std::string(v) != "overlap" && std::string(v) != "strict"))
-        return flag_error(a, v, "'overlap' or 'strict'");
-      args.model = std::string(v) == "overlap" ? ExecutionModel::kOverlap
-                                               : ExecutionModel::kStrict;
-    } else if (a == "--law") {
-      const char* v = next();
-      if (!v) return flag_error(a, v, "a distribution spec such as 'exp:1'");
-      args.law = v;
-    } else if (a == "--data-sets") {
-      const char* v = next();
-      if (!v || !parse_integer(v, args.data_sets) || args.data_sets <= 0)
-        return flag_error(a, v, "a positive integer");
-      args.data_sets_given = true;
-    } else if (a == "--seed") {
-      // Unsigned: "-1" is rejected here rather than wrapping to 2^64-1,
-      // which would silently seed a different (irreproducible-looking)
-      // stream than the user asked for.
-      const char* v = next();
-      if (!v || !parse_integer(v, args.seed))
-        return flag_error(a, v, "a non-negative integer below 2^64");
-    } else if (a == "--replications") {
-      const char* v = next();
-      if (!v || !parse_integer(v, args.replications) || args.replications == 0)
-        return flag_error(a, v, "a positive integer");
-      args.replications_given = true;
-    } else if (a == "--threads") {
-      // 0 is meaningful (all hardware cores); the pool clamps T to the
-      // number of work items, so large values are safe, not fork bombs.
-      const char* v = next();
-      if (!v || !parse_integer(v, args.threads))
-        return flag_error(a, v, "a non-negative integer (0 = all cores)");
-    } else if (a == "--objective") {
-      const char* v = next();
-      if (!v || (std::string(v) != "det" && std::string(v) != "exp"))
-        return flag_error(a, v, "'det' or 'exp'");
-      args.objective = v;
-    } else if (a == "--scenarios") {
-      const char* v = next();
-      if (!v) return flag_error(a, v, "a list-file path");
-      args.scenarios_path = v;
-    } else if (a == "--restarts") {
-      const char* v = next();
-      if (!v || !parse_integer(v, args.restarts) || args.restarts == 0)
-        return flag_error(a, v, "a positive integer");
-    } else if (a == "--max-paths") {
-      const char* v = next();
-      if (!v || !parse_integer(v, args.max_paths) || args.max_paths <= 0)
-        return flag_error(a, v, "a positive integer");
-    } else if (a == "--scenario-streams") {
-      args.scenario_streams = true;
-    } else if (a == "--kind") {
-      const char* v = next();
-      if (!v || (std::string(v) != "greedy" && std::string(v) != "anneal" &&
-                 std::string(v) != "tabu"))
-        return flag_error(a, v, "'greedy', 'anneal', or 'tabu'");
-      args.kind = v;
-    } else if (a == "--prune") {
-      const char* v = next();
-      if (!v || (std::string(v) != "none" && std::string(v) != "mct" &&
-                 std::string(v) != "maxplus"))
-        return flag_error(a, v, "'none', 'mct', or 'maxplus'");
-      args.prune = v;
-    } else if (a == "--islands") {
-      const char* v = next();
-      if (!v || !parse_integer(v, args.islands) || args.islands == 0)
-        return flag_error(a, v, "a positive integer");
-    } else if (a == "--sync-rounds") {
-      const char* v = next();
-      if (!v || !parse_integer(v, args.sync_rounds) || args.sync_rounds == 0)
-        return flag_error(a, v, "a positive integer");
-    } else if (a == "--count") {
-      const char* v = next();
-      if (!v || !parse_integer(v, args.count) || args.count == 0)
-        return flag_error(a, v, "a positive integer");
-    } else if (a == "--json") {
-      const char* v = next();
-      if (!v) return flag_error(a, v, "an output file path");
-      args.json_path = v;
-    } else if (a == "--divergence-dir") {
-      const char* v = next();
-      if (!v) return flag_error(a, v, "an output directory");
-      args.divergence_dir = v;
-    } else if (a == "--emit-corpus") {
-      const char* v = next();
-      if (!v) return flag_error(a, v, "an output directory");
-      args.emit_corpus_dir = v;
-    } else if (a == "--shared-store") {
-      args.shared_store = true;
-    } else if (a == "--store-shards") {
-      const char* v = next();
-      if (!v || !parse_integer(v, args.store_shards) || args.store_shards == 0)
-        return flag_error(a, v, "a positive integer");
-    } else if (a == "--cache-load") {
-      const char* v = next();
-      if (!v) return flag_error(a, v, "a snapshot file path");
-      args.cache_load = v;
-    } else if (a == "--cache-save") {
-      const char* v = next();
-      if (!v) return flag_error(a, v, "a snapshot file path");
-      args.cache_save = v;
-    } else if (a == "--batch") {
-      const char* v = next();
-      if (!v || !parse_integer(v, args.batch) || args.batch == 0)
-        return flag_error(a, v, "a positive integer");
-    } else if (a == "--socket") {
-      const char* v = next();
-      if (!v) return flag_error(a, v, "a socket path");
-      args.socket_path = v;
-    } else if (a == "--digest") {
-      args.digest = true;
-    } else if (a == "--no-minimize") {
-      args.no_minimize = true;
-    } else if (!a.empty() && a[0] != '-' && positional == 0) {
-      args.instance_path = a;
-      ++positional;
-    } else {
-      std::cerr << "error: unknown or misplaced argument '" << a << "'\n";
-      return false;
-    }
+/// A flag whose value is one of `spellings`, stored as its enum value.
+template <typename Field, typename Enum, std::size_t N>
+Flag choice(std::string_view name, unsigned commands, Field CliArgs::*field,
+            const Spelling<Enum> (&spellings)[N]) {
+  std::string metavar;
+  for (const auto& [spelling, value] : spellings) {
+    metavar += (metavar.empty() ? "" : "|") + std::string(spelling);
   }
-  return true;
+  return {name, metavar, commands, "one of " + metavar,
+          [field, table = std::span(spellings)](CliArgs& args,
+                                                 std::string_view token) {
+            const auto it =
+                std::ranges::find(table, token, &Spelling<Enum>::first);
+            if (it == table.end()) return false;
+            args.*field = it->second;
+            return true;
+          }};
 }
+
+Flag text(std::string_view name, std::string metavar, unsigned commands,
+          std::string CliArgs::*field) {
+  return {name, metavar, commands, metavar,
+          [field](CliArgs& args, std::string_view token) {
+            args.*field = token;
+            return true;
+          }};
+}
+
+Flag toggle(std::string_view name, unsigned commands, bool CliArgs::*field) {
+  return {name, "", commands, "",
+          [field](CliArgs& args, std::string_view) {
+            args.*field = true;
+            return true;
+          }};
+}
+
+// --threads 0 is meaningful (all hardware cores); the pools clamp T to the
+// number of work items, so large values are safe.
+const Flag kFlags[] = {
+    choice("--model", kAnalyze | kSimulate | kSearch | kExportTpn,
+           &CliArgs::model, kModels),
+    text("--law", "<spec>", kSimulate, &CliArgs::law),
+    integer("--data-sets", "N", kSimulate | kFuzz, &CliArgs::data_sets, 1),
+    integer("--seed", "S", kSimulate | kSearch | kFuzz, &CliArgs::seed, 0),
+    integer("--replications", "R", kSimulate | kFuzz, &CliArgs::replications,
+            1),
+    integer("--threads", "T", kSimulate | kSearch | kServe | kFuzz,
+            &CliArgs::threads, 0),
+    choice("--objective", kSearch, &CliArgs::objective, kObjectives),
+    integer("--restarts", "R", kSearch, &CliArgs::restarts, 1),
+    integer("--max-paths", "P", kSearch, &CliArgs::max_paths, 1),
+    choice("--kind", kSearch, &CliArgs::kind, kKinds),
+    choice("--prune", kSearch, &CliArgs::prune, kPrunes),
+    integer("--islands", "I", kSearch, &CliArgs::islands, 1),
+    integer("--sync-rounds", "N", kSearch, &CliArgs::sync_rounds, 1),
+    toggle("--shared-store", kSearch, &CliArgs::shared_store),
+    integer("--store-shards", "N", kSearch | kServe, &CliArgs::store_shards,
+            1),
+    text("--cache-load", "FILE", kSearch | kServe, &CliArgs::cache_load),
+    text("--cache-save", "FILE", kSearch | kServe, &CliArgs::cache_save),
+    text("--scenarios", "<list-file>", kSearch, &CliArgs::scenarios_path),
+    toggle("--scenario-streams", kSearch, &CliArgs::scenario_streams),
+    integer("--batch", "B", kServe, &CliArgs::batch, 1),
+    text("--socket", "PATH", kServe, &CliArgs::socket_path),
+    integer("--count", "N", kFuzz, &CliArgs::count, 1),
+    text("--json", "FILE", kFuzz, &CliArgs::json_path),
+    toggle("--digest", kFuzz, &CliArgs::digest),
+    toggle("--no-minimize", kFuzz, &CliArgs::no_minimize),
+    text("--divergence-dir", "DIR", kFuzz, &CliArgs::divergence_dir),
+    text("--emit-corpus", "DIR", kFuzz, &CliArgs::emit_corpus_dir),
+};
 
 Mapping load(const std::string& path) {
   std::ifstream in(path);
@@ -430,12 +329,12 @@ int cmd_simulate(const CliArgs& args) {
   const DistributionPtr law = parse_distribution(args.law);
   const StochasticTiming timing = StochasticTiming::scaled(mapping, *law);
   PipelineSimOptions options;
-  options.data_sets = args.data_sets;
+  options.data_sets = args.data_sets.value_or(50'000);
   options.seed = args.seed;
   std::cout << "law            : " << law->name() << " (rescaled per resource)"
             << (timing.all_nbue() ? ", N.B.U.E." : ", NOT N.B.U.E.") << "\n";
 
-  if (args.replications <= 1) {
+  if (args.replications.value_or(1) <= 1) {
     const auto r = simulate_pipeline(mapping, args.model, timing, options);
     std::cout << "throughput     : " << r.throughput << "\n";
     std::cout << "in-order rate  : " << r.in_order_throughput << "\n";
@@ -446,14 +345,14 @@ int cmd_simulate(const CliArgs& args) {
   }
 
   ExperimentOptions experiment;
-  experiment.replications = args.replications;
+  experiment.replications = *args.replications;
   experiment.threads = args.threads;
   experiment.seed = args.seed;
   const ReplicatedResult r =
       run_replicated_pipeline(mapping, args.model, timing, options, experiment);
   const MetricSummary& throughput = r.metric("throughput");
   std::cout << "replications   : " << r.replications << " x "
-            << args.data_sets << " data sets on " << r.threads_used
+            << options.data_sets << " data sets on " << r.threads_used
             << " thread(s), seed " << r.seed
             << " (bit-identical for any --threads)\n";
   std::cout << "throughput     : " << throughput.mean << " +/- "
@@ -543,36 +442,21 @@ void report_store(const CliArgs& args, PatternStore& store,
 }
 
 int cmd_search(const CliArgs& args) {
-  if (!args.instance_path.empty() && !args.scenarios_path.empty()) {
-    throw InvalidArgument(
-        "pass either an instance file or --scenarios, not both (list every "
-        "instance in the scenario file)");
-  }
   std::optional<PatternStore> local_store;
   std::size_t warm_loaded = 0;
   PatternStore* store = select_store(args, local_store, warm_loaded);
   ParallelSearchOptions options;
   options.pattern_store = store;
   options.search.model = args.model;
-  if (args.objective.empty()) {
-    // The exponential objective needs the column method (Overlap only).
-    options.search.objective = args.model == ExecutionModel::kStrict
-                                   ? MappingObjective::kDeterministic
-                                   : MappingObjective::kExponential;
-  } else {
-    options.search.objective = args.objective == "det"
-                                   ? MappingObjective::kDeterministic
-                                   : MappingObjective::kExponential;
-  }
+  // The exponential objective needs the column method (Overlap only).
+  options.search.objective = args.objective.value_or(
+      args.model == ExecutionModel::kStrict ? MappingObjective::kDeterministic
+                                            : MappingObjective::kExponential);
   options.search.restarts = args.restarts;
   options.search.seed = args.seed;
   options.search.max_paths = args.max_paths;
-  options.search.kind = args.kind == "anneal" ? RestartKind::kAnnealing
-                        : args.kind == "tabu" ? RestartKind::kTabu
-                                              : RestartKind::kGreedyLocal;
-  options.search.bounds = args.prune == "mct"       ? BoundPolicy::kMct
-                          : args.prune == "maxplus" ? BoundPolicy::kMctMaxplus
-                                                    : BoundPolicy::kNone;
+  options.search.kind = args.kind;
+  options.search.bounds = args.prune;
   options.threads = args.threads;
   options.scenario_streams = args.scenario_streams;
   options.islands = args.islands;
@@ -604,8 +488,8 @@ int cmd_search(const CliArgs& args) {
                 << result.threads_used
                 << " worker thread(s) (results independent of --threads)\n";
     } else {
-      std::cout << "portfolio    : " << args.kind << ", " << result.restarts
-                << " island(s) x " << args.sync_rounds
+      std::cout << "portfolio    : " << spelling(kKinds, args.kind) << ", "
+                << result.restarts << " island(s) x " << args.sync_rounds
                 << " sync round(s), seed " << args.seed << ", on "
                 << result.threads_used
                 << " worker thread(s) (results independent of --threads)\n";
@@ -624,8 +508,9 @@ int cmd_search(const CliArgs& args) {
       const std::size_t pruned =
           result.moves_pruned_mct + result.moves_pruned_maxplus;
       const std::size_t probes = pruned + result.moves_solved;
-      std::cout << "prune screen : " << args.prune << ": " << pruned << "/"
-                << probes << " move probes pruned (" << result.moves_pruned_mct
+      std::cout << "prune screen : " << spelling(kPrunes, args.prune) << ": "
+                << pruned << "/" << probes << " move probes pruned ("
+                << result.moves_pruned_mct
                 << " by the rate bound, " << result.moves_pruned_maxplus
                 << " by max-plus), " << result.moves_solved
                 << " solved exactly; result bit-identical to --prune none\n";
@@ -729,8 +614,8 @@ int cmd_fuzz(const CliArgs& args) {
   HarnessOptions options;
   options.corpus.seed = args.seed;
   options.count = args.count;
-  if (args.replications_given) options.replications = args.replications;
-  if (args.data_sets_given) options.data_sets = args.data_sets;
+  if (args.replications) options.replications = *args.replications;
+  if (args.data_sets) options.data_sets = *args.data_sets;
   options.threads = args.threads;
   options.minimize = !args.no_minimize;
   options.validate();
@@ -802,7 +687,7 @@ int cmd_fuzz(const CliArgs& args) {
   return report.fails == 0 ? 0 : 1;
 }
 
-int cmd_example() {
+int cmd_example(const CliArgs&) {
   Application app({2.0, 6.0, 4.0, 1.0}, {1.0, 3.0, 1.0});
   Platform platform = Platform::fully_connected(
       {2.0, 1.5, 1.0, 1.2, 0.8, 1.1, 2.5}, 2.0);
@@ -811,29 +696,109 @@ int cmd_example() {
   return 0;
 }
 
+/// One row per subcommand: its flag bit and its positional arity.
+struct Command {
+  std::string_view name;
+  unsigned bit;
+  std::size_t arity;  // 1 = takes an <instance> (search: or --scenarios)
+  int (*run)(const CliArgs&);
+};
+
+constexpr Command kCommands[] = {
+    {"analyze", kAnalyze, 1, cmd_analyze},
+    {"simulate", kSimulate, 1, cmd_simulate},
+    {"search", kSearch, 1, cmd_search},
+    {"serve", kServe, 0, cmd_serve},
+    {"export-tpn", kExportTpn, 1, cmd_export_tpn},
+    {"example", kExample, 0, cmd_example},
+    {"fuzz", kFuzz, 0, cmd_fuzz},
+};
+
+void print_usage(std::ostream& out) {
+  out << "usage:\n";
+  for (const Command& command : kCommands) {
+    std::string line = "  streamflow ";
+    line.append(command.name).append(command.arity == 1 ? " <instance>" : "");
+    for (const Flag& flag : kFlags) {
+      if ((flag.commands & command.bit) == 0) continue;
+      std::string item = " [";
+      item.append(flag.name);
+      if (!flag.metavar.empty()) item.append(" ").append(flag.metavar);
+      item.append("]");
+      if (line.size() + item.size() > 72) {
+        out << line << "\n";
+        line.assign(12, ' ');
+      }
+      line += item;
+    }
+    out << line << "\n";
+  }
+  print_usage_prose(out);
+}
+
+/// Parses argv against kCommands and kFlags. A rejected argument is named
+/// in an `error:` line on stderr and the result is null.
+const Command* parse_args(int argc, char** argv, CliArgs& args) {
+  if (argc < 2) return nullptr;
+  const std::string_view name = argv[1];
+  const Command* command = std::ranges::find(kCommands, name, &Command::name);
+  if (command == std::end(kCommands)) {
+    std::cerr << "error: unknown command '" << name << "'\n";
+    return nullptr;
+  }
+  std::size_t positional = 0;
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view a = argv[i];
+    const Flag* flag = std::ranges::find(kFlags, a, &Flag::name);
+    if (flag == std::end(kFlags)) {
+      if (a.empty() || a[0] == '-' || positional == command->arity) {
+        std::cerr << "error: unknown or misplaced argument '" << a << "'\n";
+        return nullptr;
+      }
+      args.instance_path = a;
+      ++positional;
+      continue;
+    }
+    if ((flag->commands & command->bit) == 0) {
+      std::cerr << "error: " << a << " is not an option of " << name << "\n";
+      return nullptr;
+    }
+    const char* value =
+        flag->metavar.empty() ? "" : (++i < argc ? argv[i] : nullptr);
+    if (value == nullptr || !flag->set(args, value)) {
+      std::cerr << "error: " << a << " requires " << flag->requirement;
+      if (value != nullptr) std::cerr << " (got '" << value << "')";
+      std::cerr << "\n";
+      return nullptr;
+    }
+  }
+  // search reads its instances from the --scenarios list instead.
+  const bool listed = !args.scenarios_path.empty();
+  if (positional + (listed ? 1 : 0) != command->arity) {
+    std::cerr << "error: " << name << " takes one <instance>"
+              << (command->bit == kSearch ? " or --scenarios, not both" : "")
+              << "\n";
+    return nullptr;
+  }
+  return command;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliArgs args;
-  if (!parse_args(argc, argv, args)) return usage();
-  if (args.command == "help" || args.command == "--help" ||
-      args.command == "-h") {
+  const std::string_view first = argc >= 2 ? argv[1] : "";
+  if (first == "help" || first == "--help" || first == "-h") {
     print_usage(std::cout);
     return 0;
   }
+  CliArgs args;
+  const Command* command = parse_args(argc, argv, args);
+  if (command == nullptr) {
+    print_usage(std::cerr);
+    return 2;
+  }
   try {
-    if (args.command == "example") return cmd_example();
-    if (args.command == "fuzz") return cmd_fuzz(args);
-    if (args.command == "serve") return cmd_serve(args);
-    if (args.command == "search" &&
-        (!args.instance_path.empty() || !args.scenarios_path.empty())) {
-      return cmd_search(args);
-    }
-    if (args.instance_path.empty()) return usage();
-    if (args.command == "analyze") return cmd_analyze(args);
-    if (args.command == "simulate") return cmd_simulate(args);
-    if (args.command == "export-tpn") return cmd_export_tpn(args);
-    return usage();
+    return command->run(args);
   } catch (const streamflow::Error& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;
