@@ -81,9 +81,15 @@ void BM_ReachabilityStrict(benchmark::State& state) {
   const Mapping mapping = random_instance(options, prng);
   const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kStrict);
   const auto rates = rates_from_durations(g);
+  const TpnMarkovChain chain = explore_markings(g, rates);
   for (auto _ : state) {
     benchmark::DoNotOptimize(explore_markings(g, rates));
   }
+  // Cost per explored state: items_per_second counts states.
+  state.counters["states"] = static_cast<double>(chain.num_states);
+  state.counters["edges"] = static_cast<double>(chain.edges.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(chain.num_states));
 }
 BENCHMARK(BM_ReachabilityStrict)->Arg(4)->Arg(8);
 

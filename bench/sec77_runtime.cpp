@@ -195,7 +195,8 @@ int main(int argc, char** argv) {
   }
   emit(table, "§7.7 — running time of the tools", args);
 
-  shape_ok(
+  // Timings depend on the host, so this is reported, not asserted.
+  shape_info(
       "all analyses and 100k-data-set simulations complete in seconds "
       "(paper: < 1 s at 100, ~3 min at 100k on 2009 hardware)");
 

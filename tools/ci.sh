@@ -51,6 +51,12 @@ for config in "${configs[@]}"; do
     "./${build_dir}/bench_serve_load" --quick \
         --json "${build_dir}/BENCH_serve_load.json"
     grep -q '"identical_responses":true' "${build_dir}/BENCH_serve_load.json"
+    # The §7.7 state-space sweep exits 1 when a stationary solve misses its
+    # residual bound or Gauss–Seidel disagrees with the dense LU reference,
+    # so a failing sweep fails CI here. Its run-time line is SHAPE-INFO: the
+    # timings depend on the host.
+    echo "==> ${config}: bench smoke (sec77 state-space sweep)"
+    "./${build_dir}/bench_sec77_runtime" --quick
     # The differential corpus slice already ran (and gated) as the
     # fuzz_smoke CTest above; re-emit its machine-readable report as a
     # build artifact next to the bench JSONs.
