@@ -1,7 +1,6 @@
-// Compressed-sparse-row matrices. CTMC generators of large reachability
-// graphs are extremely sparse (out-degree = number of enabled transitions),
-// so the general method of Theorem 2 switches to CSR + iterative solves
-// beyond a dense-size threshold.
+// Compressed-sparse-row matrices. CTMC generators of reachability graphs
+// are extremely sparse (out-degree = number of enabled transitions), so the
+// stationary solve of every chain reads its generator in CSR form.
 #pragma once
 
 #include <cstddef>

@@ -7,33 +7,6 @@
 
 namespace streamflow {
 
-Vector stationary_dense(const DenseMatrix& q) {
-  SF_REQUIRE(q.rows() == q.cols(), "generator must be square");
-  const std::size_t n = q.rows();
-  SF_REQUIRE(n > 0, "generator must be non-empty");
-  // Solve A pi = b with A = Q^T whose last row is replaced by the
-  // normalization constraint sum(pi) = 1.
-  DenseMatrix a = q.transpose();
-  for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
-  Vector b(n, 0.0);
-  b[n - 1] = 1.0;
-  Vector pi = solve_dense(std::move(a), b);
-  // Clamp tiny negative round-off and renormalize.
-  double sum = 0.0;
-  for (double& p : pi) {
-    if (p < 0.0 && p > -1e-9) p = 0.0;
-    if (p < 0.0) {
-      throw NumericalError(
-          "stationary_dense produced a significantly negative probability; "
-          "the chain may have multiple recurrent classes");
-    }
-    sum += p;
-  }
-  SF_ASSERT(sum > 0.0, "stationary distribution sums to zero");
-  for (double& p : pi) p /= sum;
-  return pi;
-}
-
 namespace {
 
 /// The generator in the layout a Gauss–Seidel sweep reads: for each state
@@ -82,7 +55,8 @@ struct InflowGenerator {
     return acc;
   }
 
-  /// stationary_residual of pi (every exit rate is positive here).
+  /// The residual of pi (StationaryOptions::tolerance); every exit rate is
+  /// positive here.
   double residual(const Vector& pi) const {
     double acc = 0.0;
     for (std::size_t j = 0; j < pi.size(); ++j)
@@ -150,15 +124,6 @@ Vector stationary_gauss_seidel(const CsrMatrix& q_offdiag,
           << options.tolerance << " within " << options.max_iterations
           << " sweeps (last bound " << bound << ")";
   throw NumericalError(message.str());
-}
-
-double stationary_residual(const DenseMatrix& q, const Vector& pi) {
-  const Vector r = q.multiply_transpose(pi);
-  double acc = 0.0;
-  for (std::size_t j = 0; j < r.size(); ++j) {
-    if (q(j, j) != 0.0) acc += std::fabs(r[j] / q(j, j));
-  }
-  return acc;
 }
 
 }  // namespace streamflow

@@ -17,56 +17,30 @@ std::vector<double> rates_from_durations(const TimedEventGraph& graph) {
 
 namespace {
 
-/// Fills the GeneralMethodResult observability fields describing how the
-/// stationary solve went; the result's throughput stays the caller's job.
-struct SolveTelemetry {
-  StationaryBackend backend = StationaryBackend::kDense;
-  std::size_t iterations = 0;
-  double residual = 0.0;
-};
-
+/// The stationary distribution of `chain` under `rates`: Gauss–Seidel on
+/// the off-diagonal generator (self-loops cancel in it).
 Vector solve_stationary(const TpnMarkovChain& chain,
                         const std::vector<double>& rates,
                         const GeneralMethodOptions& options,
-                        SolveTelemetry* telemetry = nullptr) {
+                        StationarySolveStats* stats = nullptr) {
   const std::size_t n = chain.num_states;
-  if (n <= options.dense_threshold) {
-    DenseMatrix q(n, n, 0.0);
-    for (const CtmcEdge& e : chain.edges) {
-      if (e.from == e.to) continue;  // self-loops cancel in the generator
-      q(e.from, e.to) += rates[e.transition];
-      q(e.from, e.from) -= rates[e.transition];
-    }
-    Vector pi = stationary_dense(q);
-    if (telemetry != nullptr) {
-      telemetry->backend = StationaryBackend::kDense;
-      telemetry->iterations = 0;
-      telemetry->residual = stationary_residual(q, pi);
-    }
-    return pi;
-  }
   std::vector<Triplet> triplets;
   triplets.reserve(chain.edges.size());
   for (const CtmcEdge& e : chain.edges) {
     if (e.from == e.to) continue;
     triplets.push_back(Triplet{e.from, e.to, rates[e.transition]});
   }
-  StationarySolveStats stats;
-  Vector pi = stationary_gauss_seidel(CsrMatrix(n, n, std::move(triplets)),
-                                      options.stationary, &stats);
-  if (telemetry != nullptr) {
-    telemetry->backend = StationaryBackend::kGaussSeidel;
-    telemetry->iterations = stats.iterations;
-    telemetry->residual = stats.residual;
-  }
-  return pi;
+  return stationary_gauss_seidel(CsrMatrix(n, n, std::move(triplets)),
+                                 options.stationary, stats);
 }
 
+/// Fills the GeneralMethodResult observability fields describing how the
+/// stationary solve went; the result's throughput stays the caller's job.
 void apply_telemetry(GeneralMethodResult& result,
-                     const SolveTelemetry& telemetry) {
-  result.backend = telemetry.backend;
-  result.solver_iterations = telemetry.iterations;
-  result.solver_residual = telemetry.residual;
+                     const StationarySolveStats& stats) {
+  result.backend = StationaryBackend::kGaussSeidel;
+  result.solver_iterations = stats.iterations;
+  result.solver_residual = stats.residual;
 }
 
 }  // namespace
@@ -100,8 +74,8 @@ GeneralMethodResult exponential_throughput_general(
   SF_REQUIRE(!counted.empty(), "no transitions selected for counting");
   const TpnMarkovChain chain =
       explore_markings(graph, rates, options.reachability);
-  SolveTelemetry telemetry;
-  const Vector pi = solve_stationary(chain, rates, options, &telemetry);
+  StationarySolveStats stats;
+  const Vector pi = solve_stationary(chain, rates, options, &stats);
 
   std::vector<char> is_counted(graph.num_transitions(), 0);
   for (std::size_t t : counted) {
@@ -111,7 +85,7 @@ GeneralMethodResult exponential_throughput_general(
   GeneralMethodResult result;
   result.num_states = chain.num_states;
   result.capacity_clipped = chain.capacity_clipped;
-  apply_telemetry(result, telemetry);
+  apply_telemetry(result, stats);
   for (const CtmcEdge& e : chain.edges) {
     if (is_counted[e.transition])
       result.throughput += pi[e.from] * rates[e.transition];
@@ -125,12 +99,12 @@ GeneralMethodResult saturated_flow(const TimedEventGraph& graph,
   SF_REQUIRE(graph.num_transitions() > 0, "empty event graph");
   const TpnMarkovChain chain =
       explore_markings(graph, rates, options.reachability);
-  SolveTelemetry telemetry;
-  const Vector pi = solve_stationary(chain, rates, options, &telemetry);
+  StationarySolveStats stats;
+  const Vector pi = solve_stationary(chain, rates, options, &stats);
   GeneralMethodResult result;
   result.num_states = chain.num_states;
   result.capacity_clipped = chain.capacity_clipped;
-  apply_telemetry(result, telemetry);
+  apply_telemetry(result, stats);
   for (const CtmcEdge& e : chain.edges) {
     result.throughput += pi[e.from] * rates[e.transition];
   }

@@ -13,14 +13,13 @@ namespace streamflow {
 
 struct GeneralMethodOptions {
   ReachabilityOptions reachability;
-  /// Up to this state count the stationary solve is a dense LU; above, the
-  /// sparse residual-bounded Gauss–Seidel iteration.
-  std::size_t dense_threshold = 1200;
+  /// The stationary solve: residual-bounded Gauss–Seidel at every size.
   StationaryOptions stationary;
 };
 
-/// Which stationary solver actually ran for a chain (the dense_threshold
-/// decision, surfaced for observability and the crossover tests).
+/// Which stationary solver ran for a chain. Every solve is Gauss–Seidel:
+/// kDense is no longer produced, and stays declared while bench_e2e's
+/// `linalg.dense_solves` counter reads it.
 enum class StationaryBackend {
   kDense,        ///< direct dense LU on the full generator
   kGaussSeidel,  ///< sparse residual-bounded Gauss–Seidel
@@ -32,14 +31,12 @@ struct GeneralMethodResult {
   std::size_t num_states = 0;
   /// See TpnMarkovChain::capacity_clipped.
   bool capacity_clipped = false;
-  /// The back-end the stationary solve dispatched to (num_states vs
-  /// dense_threshold).
+  /// The stationary solver that ran: always kGaussSeidel.
   StationaryBackend backend = StationaryBackend::kDense;
-  /// Gauss–Seidel sweeps; 0 for the direct dense solve.
+  /// Gauss–Seidel sweeps; 0 only for a one-state chain.
   std::size_t solver_iterations = 0;
-  /// Solve quality, for both back-ends: the residual of the solved
-  /// distribution as defined by stationary_residual (for Gauss–Seidel at
-  /// most StationaryOptions::tolerance).
+  /// Solve quality: the residual of the solved distribution as defined by
+  /// StationaryOptions::tolerance, and at most that tolerance.
   double solver_residual = 0.0;
 };
 

@@ -1,4 +1,4 @@
-#include "linalg/dense.hpp"
+#include "support/dense.hpp"
 
 #include <cmath>
 #include <numeric>

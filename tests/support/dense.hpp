@@ -1,17 +1,16 @@
 // Minimal dense linear algebra: row-major matrices and LU factorization with
-// partial pivoting. This is the direct solver behind the stationary
-// distribution of small CTMCs (Theorem 2's Markov chains and the u x v
-// pattern chains of Theorem 3).
+// partial pivoting. This is the direct solver behind the dense stationary
+// reference (support/stationary_reference.hpp) that the library's
+// Gauss–Seidel solve is checked against.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "common/error.hpp"
+#include "linalg/stationary.hpp"
 
 namespace streamflow {
-
-using Vector = std::vector<double>;
 
 /// Dense row-major matrix of doubles.
 class DenseMatrix {

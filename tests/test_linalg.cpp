@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "common/prng.hpp"
-#include "linalg/dense.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/stationary.hpp"
+#include "support/dense.hpp"
+#include "support/stationary_reference.hpp"
 
 namespace streamflow {
 namespace {
@@ -124,7 +125,8 @@ TEST(Stationary, TwoStateChain) {
   q(0, 1) = a;
   q(1, 0) = b;
   q(1, 1) = -b;
-  const Vector pi = stationary_dense(q);
+  const Vector pi =
+      stationary_gauss_seidel(CsrMatrix(2, 2, {{0, 1, a}, {1, 0, b}}));
   EXPECT_NEAR(pi[0], b / (a + b), 1e-12);
   EXPECT_NEAR(pi[1], a / (a + b), 1e-12);
   EXPECT_LT(stationary_residual(q, pi), 1e-12);
@@ -134,18 +136,12 @@ TEST(Stationary, BirthDeathMatchesMm1k) {
   // M/M/1/K with arrival l, service mu: pi_i ~ (l/mu)^i.
   const double l = 1.0, mu = 2.0;
   const std::size_t k = 6;
-  DenseMatrix q(k + 1, k + 1);
+  std::vector<Triplet> q;
   for (std::size_t i = 0; i <= k; ++i) {
-    if (i < k) {
-      q(i, i + 1) = l;
-      q(i, i) -= l;
-    }
-    if (i > 0) {
-      q(i, i - 1) = mu;
-      q(i, i) -= mu;
-    }
+    if (i < k) q.push_back({i, i + 1, l});
+    if (i > 0) q.push_back({i, i - 1, mu});
   }
-  const Vector pi = stationary_dense(q);
+  const Vector pi = stationary_gauss_seidel(CsrMatrix(k + 1, k + 1, q));
   const double rho = l / mu;
   double norm = 0.0;
   for (std::size_t i = 0; i <= k; ++i) norm += std::pow(rho, i);
@@ -240,6 +236,8 @@ TEST(Stationary, GaussSeidelSingleStateAndDiagonalEntries) {
 }
 
 TEST(Stationary, RejectsEmptyAndNonSquare) {
+  EXPECT_THROW(stationary_gauss_seidel(CsrMatrix(0, 0, {})), InvalidArgument);
+  EXPECT_THROW(stationary_gauss_seidel(CsrMatrix(2, 3, {})), InvalidArgument);
   EXPECT_THROW(stationary_dense(DenseMatrix(0, 0)), InvalidArgument);
   EXPECT_THROW(stationary_dense(DenseMatrix(2, 3)), InvalidArgument);
 }

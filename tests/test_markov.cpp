@@ -10,6 +10,7 @@
 #include "common/stats.hpp"
 #include "markov/throughput.hpp"
 #include "model/random_instance.hpp"
+#include "support/stationary_reference.hpp"
 #include "test_helpers.hpp"
 #include "tpn/builder.hpp"
 #include "tpn/columns.hpp"
@@ -472,45 +473,35 @@ TEST(GeneralMethod, TandemTwoServersIsSaturationMin) {
   EXPECT_NEAR(previous, 0.5, 0.02);  // converging to min(1, 1/2)
 }
 
-TEST(GeneralMethod, StationaryBackendCrossoverAtDenseThreshold) {
-  // The default crossover is pinned: chains up to 1200 states solve dense.
-  GeneralMethodOptions defaults;
-  EXPECT_EQ(defaults.dense_threshold, 1200u);
-
+TEST(GeneralMethod, SmallChainTakesGaussSeidelAndMatchesDenseReference) {
+  // Every chain, however small, is solved by Gauss–Seidel: it reports its
+  // sweeps and a residual within tolerance, and agrees with the dense LU
+  // reference to the documented 1e-9 (REPRODUCING.md).
   const Mapping mapping = testing::chain_mapping({1.0, 2.0}, {1e-3});
   const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kOverlap);
   const auto rates = rates_from_durations(g);
-  GeneralMethodOptions dense;
-  dense.reachability.place_capacity = 4;
+  GeneralMethodOptions options;
+  options.reachability.place_capacity = 4;
   const auto a = exponential_throughput_general(
-      g, rates, g.last_column_transitions(), dense);
+      g, rates, g.last_column_transitions(), options);
   ASSERT_GT(a.num_states, 1u);
-  ASSERT_LE(a.num_states, dense.dense_threshold);
-  EXPECT_EQ(a.backend, StationaryBackend::kDense);
-  EXPECT_EQ(a.solver_iterations, 0u);       // direct solve: no sweeps
-  EXPECT_LT(a.solver_residual, 1e-10);      // residual of the LU solve
+  EXPECT_EQ(a.backend, StationaryBackend::kGaussSeidel);
+  EXPECT_GT(a.solver_iterations, 0u);
+  EXPECT_LE(a.solver_residual, options.stationary.tolerance);
+  const TpnMarkovChain chain = explore_markings(g, rates, options.reachability);
+  const DenseReference lu =
+      dense_reference(g, chain, rates, g.last_column_transitions());
+  EXPECT_LT(lu.residual, 1e-10);  // residual of the LU solve
+  EXPECT_LE(relative_difference(a.throughput, lu.throughput), 1e-9);
 
-  // Drop the threshold below the state count: the SAME chain now takes the
-  // sparse Gauss–Seidel path, reports it, and agrees on the throughput.
-  GeneralMethodOptions sparse = dense;
-  sparse.dense_threshold = a.num_states - 1;
-  const auto b = exponential_throughput_general(
-      g, rates, g.last_column_transitions(), sparse);
-  EXPECT_EQ(b.backend, StationaryBackend::kGaussSeidel);
-  EXPECT_GT(b.solver_iterations, 0u);
-  EXPECT_LE(b.solver_residual, sparse.stationary.tolerance);
-  // The documented agreement with the dense reference (REPRODUCING.md).
-  EXPECT_LE(relative_difference(b.throughput, a.throughput), 1e-9);
-
-  // saturated_flow (the pattern-cache entry point) dispatches identically —
-  // it is NOT dense-only.
-  const auto sf_dense = saturated_flow(g, rates, dense);
-  EXPECT_EQ(sf_dense.backend, StationaryBackend::kDense);
-  const auto sf_sparse = saturated_flow(g, rates, sparse);
-  EXPECT_EQ(sf_sparse.backend, StationaryBackend::kGaussSeidel);
-  EXPECT_GT(sf_sparse.solver_iterations, 0u);
-  EXPECT_LE(relative_difference(sf_sparse.throughput, sf_dense.throughput),
-            1e-9);
+  // saturated_flow (the pattern-cache entry point) takes the same solver.
+  const auto sf = saturated_flow(g, rates, options);
+  EXPECT_EQ(sf.backend, StationaryBackend::kGaussSeidel);
+  EXPECT_GT(sf.solver_iterations, 0u);
+  EXPECT_LE(sf.solver_residual, options.stationary.tolerance);
+  const DenseReference sf_lu =
+      dense_reference(g, chain, rates, all_transitions(g));
+  EXPECT_LE(relative_difference(sf.throughput, sf_lu.throughput), 1e-9);
 }
 
 TEST(GeneralMethod, StrictChainGaussSeidelMatchesDenseReference) {
@@ -520,18 +511,16 @@ TEST(GeneralMethod, StrictChainGaussSeidelMatchesDenseReference) {
   const Mapping mapping = testing::replicated_chain_mapping(1, 3, 2, 2.0, 1.0);
   const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kStrict);
   const auto rates = rates_from_durations(g);
-  const auto dense = exponential_throughput_general(
-      g, rates, g.last_column_transitions());
-  ASSERT_EQ(dense.num_states, 1008u);
-  ASSERT_EQ(dense.backend, StationaryBackend::kDense);
-  GeneralMethodOptions options;
-  options.dense_threshold = 0;
+  const GeneralMethodOptions options;
   const auto gs = exponential_throughput_general(
       g, rates, g.last_column_transitions(), options);
+  ASSERT_EQ(gs.num_states, 1008u);
   EXPECT_EQ(gs.backend, StationaryBackend::kGaussSeidel);
   EXPECT_LE(gs.solver_residual, options.stationary.tolerance);
-  EXPECT_LE(relative_difference(gs.throughput, dense.throughput), 1e-9);
-  EXPECT_LT(dense.solver_residual, 1e-13);
+  const DenseReference lu = dense_reference(
+      g, explore_markings(g, rates), rates, g.last_column_transitions());
+  EXPECT_LE(relative_difference(gs.throughput, lu.throughput), 1e-9);
+  EXPECT_LT(lu.residual, 1e-13);
 }
 
 TEST(GeneralMethod, NonConvergedSolveIsAnError) {
@@ -541,7 +530,6 @@ TEST(GeneralMethod, NonConvergedSolveIsAnError) {
   const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kOverlap);
   GeneralMethodOptions options;
   options.reachability.place_capacity = 4;
-  options.dense_threshold = 0;
   options.stationary.max_iterations = 1;
   EXPECT_THROW(exponential_throughput_general(g, rates_from_durations(g),
                                               g.last_column_transitions(),

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/math_utils.hpp"
+#include "common/prng.hpp"
 #include "common/stats.hpp"
 #include "linalg/stationary.hpp"
 #include "markov/reachability.hpp"
 #include "markov/throughput.hpp"
+#include "support/stationary_reference.hpp"
 #include "test_helpers.hpp"
 #include "tpn/columns.hpp"
 #include "young/diagram.hpp"
@@ -60,13 +64,12 @@ TEST(YoungStationary, HomogeneousDistributionIsUniform) {
   const TimedEventGraph teg = build_pattern_teg(patterns[0]);
   const auto rates = rates_from_durations(teg);
   const auto chain = explore_markings(teg, rates);
-  DenseMatrix q(chain.num_states, chain.num_states, 0.0);
+  std::vector<Triplet> q;
   for (const auto& e : chain.edges) {
-    if (e.from == e.to) continue;
-    q(e.from, e.to) += rates[e.transition];
-    q(e.from, e.from) -= rates[e.transition];
+    if (e.from != e.to) q.push_back({e.from, e.to, rates[e.transition]});
   }
-  const Vector pi = stationary_dense(q);
+  const Vector pi = stationary_gauss_seidel(
+      CsrMatrix(chain.num_states, chain.num_states, std::move(q)));
   for (double p : pi)
     EXPECT_NEAR(p, 1.0 / static_cast<double>(chain.num_states), 1e-10);
 }
@@ -142,8 +145,9 @@ TEST(PatternFlow, ExponentialBelowDeterministic) {
 }
 
 TEST(PatternFlow, LargePatternsTakeGaussSeidelAndMatchDenseReference) {
-  // S(6,5) = S(5,6) = 1260 > dense_threshold: the pattern CTMC is solved by
-  // Gauss–Seidel, and agrees with the dense LU reference to 1e-9.
+  // S(6,5) = S(5,6) = 1260, the largest patterns of the 6 x 6 range: the
+  // pattern CTMC is solved by Gauss–Seidel, and agrees with the dense LU
+  // reference to 1e-9.
   for (const auto& [u, v] : std::vector<PatternDims>{{6, 5}, {5, 6}}) {
     std::vector<double> times;
     for (std::size_t t = 0; t < u * v; ++t) times.push_back(1.0 + 0.1 * t);
@@ -157,13 +161,56 @@ TEST(PatternFlow, LargePatternsTakeGaussSeidelAndMatchDenseReference) {
     EXPECT_EQ(gs.backend, StationaryBackend::kGaussSeidel);
     EXPECT_LE(gs.solver_residual, StationaryOptions{}.tolerance);
     EXPECT_EQ(pattern_flow_exponential(pattern).inner_flow, gs.throughput);
-    GeneralMethodOptions dense;
-    dense.dense_threshold = gs.num_states;
-    const GeneralMethodResult lu = saturated_flow(teg, rates, dense);
-    EXPECT_EQ(lu.backend, StationaryBackend::kDense);
+    const DenseReference lu = dense_reference(
+        teg, explore_markings(teg, rates), rates, all_transitions(teg));
     EXPECT_LE(relative_difference(gs.throughput, lu.throughput), 1e-9)
         << "u=" << u << " v=" << v;
   }
+}
+
+TEST(PatternFlow, EveryCoprimePatternUpToSixBySixMatchesDenseReference) {
+  // Every pattern chain the solver can meet up to 6 x 6 (1 to 1260 states)
+  // with heterogeneous link times: Gauss–Seidel meets its residual bound in
+  // a small fraction of the sweep cap and agrees with the dense LU to 1e-9.
+  const StationaryOptions stationary;
+  Prng prng(2010);
+  std::size_t most_sweeps = 0;
+  double worst_agreement = 0.0;
+  std::size_t patterns = 0;
+  for (std::size_t u = 1; u <= 6; ++u) {
+    for (std::size_t v = 1; v <= 6; ++v) {
+      if (std::gcd(u, v) != 1) continue;
+      std::vector<double> times;
+      for (std::size_t t = 0; t < u * v; ++t)
+        times.push_back(prng.uniform(0.5, 2.0));
+      const Mapping mapping =
+          testing::single_comm_mapping_heterogeneous(u, v, times);
+      const TimedEventGraph teg =
+          build_pattern_teg(comm_patterns(mapping, 0)[0]);
+      const std::vector<double> rates = rates_from_durations(teg);
+      const GeneralMethodResult gs = saturated_flow(teg, rates);
+      EXPECT_EQ(static_cast<std::int64_t>(gs.num_states),
+                young_state_count(static_cast<std::int64_t>(u),
+                                  static_cast<std::int64_t>(v)));
+      EXPECT_LE(gs.solver_residual, stationary.tolerance)
+          << "u=" << u << " v=" << v;
+      EXPECT_LE(gs.solver_iterations, stationary.max_iterations / 100)
+          << "u=" << u << " v=" << v;
+      most_sweeps = std::max(most_sweeps, gs.solver_iterations);
+      const DenseReference lu = dense_reference(
+          teg, explore_markings(teg, rates), rates, all_transitions(teg));
+      const double agreement =
+          relative_difference(gs.throughput, lu.throughput);
+      EXPECT_LE(agreement, 1e-9) << "u=" << u << " v=" << v;
+      worst_agreement = std::max(worst_agreement, agreement);
+      ++patterns;
+    }
+  }
+  EXPECT_EQ(patterns, 23u);
+  std::printf(
+      "%zu patterns: largest Gauss-Seidel sweep count %zu, worst relative "
+      "difference from the dense LU %.1e\n",
+      patterns, most_sweeps, worst_agreement);
 }
 
 }  // namespace

@@ -111,7 +111,8 @@ if command -v clang++ >/dev/null 2>&1; then
     # line numbers, so reformatting them would break test_lint.
     echo "==> clang-format (baseline check)"
     git ls-files 'src/**/*.cpp' 'src/**/*.hpp' 'tools/*.cpp' 'tools/*.hpp' \
-        'tests/test_*.cpp' 'tests/*.hpp' 'bench/*.cpp' 'bench/*.hpp' \
+        'tests/test_*.cpp' 'tests/support/*.cpp' 'tests/*.hpp' \
+        'bench/*.cpp' 'bench/*.hpp' \
       | xargs clang-format --dry-run -Werror
   else
     echo "==> SKIP clang-format: not on PATH"
