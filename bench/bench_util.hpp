@@ -14,6 +14,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace streamflow::bench {
@@ -50,65 +51,8 @@ struct BenchArgs {
   }
 };
 
-/// Minimal ordered JSON-object builder for the --json summaries: keys keep
-/// insertion order, doubles round-trip (max_digits10), nesting via the
-/// JsonObject overload of set(). No external dependency, no escapes beyond
-/// quote/backslash (bench keys and labels are plain ASCII).
-class JsonObject {
- public:
-  JsonObject& set(const std::string& key, double value) {
-    // JSON has no inf/nan literals; emit null so the artifact always
-    // parses (a zero-duration timing would otherwise produce "inf").
-    if (!std::isfinite(value)) return raw(key, "null");
-    std::ostringstream os;
-    os.precision(17);
-    os << value;
-    return raw(key, os.str());
-  }
-  JsonObject& set(const std::string& key, std::size_t value) {
-    return raw(key, std::to_string(value));
-  }
-  JsonObject& set(const std::string& key, std::int64_t value) {
-    return raw(key, std::to_string(value));
-  }
-  JsonObject& set(const std::string& key, int value) {
-    return raw(key, std::to_string(value));
-  }
-  JsonObject& set(const std::string& key, bool value) {
-    return raw(key, value ? "true" : "false");
-  }
-  JsonObject& set(const std::string& key, const std::string& value) {
-    return raw(key, quote(value));
-  }
-  JsonObject& set(const std::string& key, const char* value) {
-    return raw(key, quote(value));
-  }
-  JsonObject& set(const std::string& key, const JsonObject& value) {
-    return raw(key, value.str());
-  }
-
-  std::string str() const { return "{" + body_ + "}"; }
-
- private:
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out + "\"";
-  }
-  JsonObject& raw(const std::string& key, const std::string& value) {
-    if (!body_.empty()) body_ += ",";
-    body_ += quote(key) + ":" + value;
-    return *this;
-  }
-
-  std::string body_;
-};
-
 /// Writes the summary when --json was requested (no-op otherwise).
-inline void write_json(const BenchArgs& args, const JsonObject& summary) {
+inline void write_json(const BenchArgs& args, const JsonWriter& summary) {
   if (args.json_path.empty()) return;
   std::ofstream out(args.json_path);
   if (!out) {

@@ -110,10 +110,10 @@ int main(int argc, char** argv) {
             << BufferedPrng::kDefaultBlockDraws << " draws, "
             << replications << " replications x " << draws << " draws\n\n";
 
-  JsonObject summary;
-  summary.set("bench", "sampling_throughput");
-  summary.set("quick", args.quick);
-  summary.set("best_isa", simd::isa_name(best));
+  JsonWriter summary;
+  summary.string_field("bench", "sampling_throughput")
+      .bool_field("quick", args.quick)
+      .string_field("best_isa", simd::isa_name(best));
 
   // --- Part 1: replication throughput, scalar vs batched ------------------
   std::vector<double> scalar_buf(draws), batched_buf(draws);
@@ -168,17 +168,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  JsonObject part1_json;
-  part1_json.set("draws_per_replication", draws);
-  part1_json.set("replications", replications);
-  part1_json.set("scalar_reps_per_sec", scalar_rate.per_second);
-  part1_json.set("batched_reps_per_sec", batched_rate.per_second);
-  part1_json.set("speedup", speedup);
-  part1_json.set("bytes_equal", bytes_equal);
-  part1_json.set("shape_target", 3.0);
-  part1_json.set("shape_armed", simd_available);
-  part1_json.set("shape_ok", bytes_equal && (!simd_available || speedup >= 3.0));
-  summary.set("replication_throughput", part1_json);
+  JsonWriter part1_json;
+  part1_json.integer_field("draws_per_replication", draws)
+      .integer_field("replications", replications)
+      .number_field("scalar_reps_per_sec", scalar_rate.per_second)
+      .number_field("batched_reps_per_sec", batched_rate.per_second)
+      .number_field("speedup", speedup)
+      .bool_field("bytes_equal", bytes_equal)
+      .number_field("shape_target", 3.0)
+      .bool_field("shape_armed", simd_available)
+      .bool_field("shape_ok",
+                  bytes_equal && (!simd_available || speedup >= 3.0));
+  summary.raw_field("replication_throughput", part1_json.str());
 
   // --- Part 2: per-family transform throughput ----------------------------
   struct Family {
@@ -197,7 +198,7 @@ int main(int argc, char** argv) {
   const std::size_t family_draws = draws / 2;
 
   Table part2({"family", "scalar ns/draw", "batched ns/draw", "speedup"});
-  JsonObject families_json;
+  JsonWriter families_json;
   bool family_bytes_equal = true;
   for (const Family& family : families) {
     Prng scalar_prng(7);
@@ -223,19 +224,20 @@ int main(int argc, char** argv) {
     const double family_speedup = scalar_ns / batched_ns;
     part2.add_row({std::string(family.key), scalar_ns, batched_ns,
                    family_speedup});
-    JsonObject family_json;
-    family_json.set("scalar_ns_per_draw", scalar_ns);
-    family_json.set("batched_ns_per_draw", batched_ns);
-    family_json.set("speedup", family_speedup);
-    family_json.set("bytes_equal", equal);
-    families_json.set(family.key, family_json);
+    families_json.raw_field(family.key,
+                            JsonWriter()
+                                .number_field("scalar_ns_per_draw", scalar_ns)
+                                .number_field("batched_ns_per_draw", batched_ns)
+                                .number_field("speedup", family_speedup)
+                                .bool_field("bytes_equal", equal)
+                                .str());
   }
   emit(part2, "per-family draw cost (scalar sample() vs BatchSampler)", args);
   std::cout << "\n";
   shape_check(family_bytes_equal,
               "every family's batched variates are byte-identical to the "
               "scalar sample() sequence");
-  summary.set("families", families_json);
+  summary.raw_field("families", families_json.str());
 
   // --- Part 3: replicated simulator end to end ----------------------------
   const Mapping mapping = bench_mapping();
@@ -282,13 +284,14 @@ int main(int argc, char** argv) {
     shape_info(os.str());
   }
 
-  JsonObject sim_json;
-  sim_json.set("rounds", static_cast<std::size_t>(sim_options.rounds));
-  sim_json.set("scalar_refill_reps_per_sec", sim_scalar);
-  sim_json.set("best_refill_reps_per_sec", sim_batched);
-  sim_json.set("speedup", sim_speedup);
-  sim_json.set("bytes_equal", sim_bytes_equal);
-  summary.set("teg_simulation", sim_json);
+  JsonWriter sim_json;
+  sim_json
+      .integer_field("rounds", static_cast<std::uint64_t>(sim_options.rounds))
+      .number_field("scalar_refill_reps_per_sec", sim_scalar)
+      .number_field("best_refill_reps_per_sec", sim_batched)
+      .number_field("speedup", sim_speedup)
+      .bool_field("bytes_equal", sim_bytes_equal);
+  summary.raw_field("teg_simulation", sim_json.str());
 
   write_json(args, summary);
   return bytes_equal && family_bytes_equal && sim_bytes_equal ? 0 : 1;

@@ -150,7 +150,7 @@ std::size_t count_mismatches(const std::vector<std::optional<double>>& a,
 
 int main(int argc, char** argv) {
   using streamflow::bench::BenchArgs;
-  using streamflow::bench::JsonObject;
+  using streamflow::JsonWriter;
   using streamflow::bench::Stopwatch;
 
   const BenchArgs args = BenchArgs::parse(argc, argv);
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   streamflow::Table sweep_table(
       {"threads", "seconds", "speedup", "throughput", "evaluations"});
   sweep_table.set_precision(4);
-  JsonObject sweep_json;
+  JsonWriter sweep_json;
   std::optional<streamflow::ParallelSearchResult> sweep_reference;
   double sweep_serial_seconds = 0.0;
   double sweep_speedup_at4 = 0.0;
@@ -252,13 +252,14 @@ int main(int argc, char** argv) {
     sweep_table.add_row({static_cast<std::int64_t>(t), seconds, sweep_speedup,
                          result.throughput,
                          static_cast<std::int64_t>(result.evaluations)});
-    JsonObject row;
-    row.set("threads", t)
-        .set("seconds", seconds)
-        .set("speedup", sweep_speedup)
-        .set("restarts", result.restarts)
-        .set("evaluations", result.evaluations);
-    sweep_json.set("t" + std::to_string(t), row);
+    sweep_json.raw_field("t" + std::to_string(t),
+                         JsonWriter()
+                             .integer_field("threads", t)
+                             .number_field("seconds", seconds)
+                             .number_field("speedup", sweep_speedup)
+                             .integer_field("restarts", result.restarts)
+                             .integer_field("evaluations", result.evaluations)
+                             .str());
     if (!sweep_reference) {
       sweep_reference.emplace(std::move(result));
     } else if (result.throughput != sweep_reference->throughput ||
@@ -324,7 +325,7 @@ int main(int argc, char** argv) {
   streamflow::Table prune_table({"processors", "policy", "seconds",
                                  "probes/sec", "prune rate", "speedup"});
   prune_table.set_precision(4);
-  JsonObject prune_json;
+  JsonWriter prune_json;
   std::size_t prune_mismatches = 0;
   std::size_t prune_accounting_errors = 0;
   double largest_prune_rate = 0.0;
@@ -333,7 +334,7 @@ int main(int argc, char** argv) {
     const streamflow::InstancePtr big = large_instance(m).instance();
     std::optional<streamflow::MappingSearchResult> reference;
     double reference_seconds = 0.0;
-    JsonObject size_json;
+    JsonWriter size_json;
     for (const streamflow::BoundPolicy policy :
          {streamflow::BoundPolicy::kNone, streamflow::BoundPolicy::kMct,
           streamflow::BoundPolicy::kMctMaxplus}) {
@@ -376,19 +377,22 @@ int main(int argc, char** argv) {
                            std::string(policy_name), seconds,
                            static_cast<double>(probes) / seconds, prune_rate,
                            speedup});
-      JsonObject row;
-      row.set("seconds", seconds)
-          .set("probes", probes)
-          .set("probes_per_sec", static_cast<double>(probes) / seconds)
-          .set("pruned_mct", result.moves_pruned_mct)
-          .set("pruned_maxplus", result.moves_pruned_maxplus)
-          .set("moves_solved", result.moves_solved)
-          .set("prune_rate", prune_rate)
-          .set("speedup", speedup)
-          .set("throughput", result.throughput);
-      size_json.set(policy_name, row);
+      size_json.raw_field(
+          policy_name,
+          JsonWriter()
+              .number_field("seconds", seconds)
+              .integer_field("probes", probes)
+              .number_field("probes_per_sec",
+                            static_cast<double>(probes) / seconds)
+              .integer_field("pruned_mct", result.moves_pruned_mct)
+              .integer_field("pruned_maxplus", result.moves_pruned_maxplus)
+              .integer_field("moves_solved", result.moves_solved)
+              .number_field("prune_rate", prune_rate)
+              .number_field("speedup", speedup)
+              .number_field("throughput", result.throughput)
+              .str());
     }
-    prune_json.set("m" + std::to_string(m), size_json);
+    prune_json.raw_field("m" + std::to_string(m), size_json.str());
   }
   streamflow::bench::emit(
       prune_table,
@@ -415,7 +419,7 @@ int main(int argc, char** argv) {
   streamflow::Table kind_table(
       {"kind", "throughput", "evaluations", "thread mismatches"});
   kind_table.set_precision(6);
-  JsonObject kind_json;
+  JsonWriter kind_json;
   for (const streamflow::RestartKind kind :
        {streamflow::RestartKind::kGreedyLocal,
         streamflow::RestartKind::kAnnealing, streamflow::RestartKind::kTabu}) {
@@ -454,11 +458,13 @@ int main(int argc, char** argv) {
     kind_table.add_row({outcome.name, outcome.throughput,
                         static_cast<std::int64_t>(outcome.evaluations),
                         static_cast<std::int64_t>(outcome.mismatches)});
-    JsonObject row;
-    row.set("throughput", outcome.throughput)
-        .set("evaluations", outcome.evaluations)
-        .set("thread_mismatches", outcome.mismatches);
-    kind_json.set(outcome.name, row);
+    kind_json.raw_field(
+        outcome.name,
+        JsonWriter()
+            .number_field("throughput", outcome.throughput)
+            .integer_field("evaluations", outcome.evaluations)
+            .integer_field("thread_mismatches", outcome.mismatches)
+            .str());
     kinds.push_back(std::move(outcome));
   }
   streamflow::bench::emit(
@@ -499,40 +505,40 @@ int main(int argc, char** argv) {
           std::to_string(kinds[1].throughput) + ", tabu " +
           std::to_string(kinds[2].throughput) + ")");
 
-  JsonObject summary;
-  JsonObject default_json;
-  default_json.set("sweeps", sweeps)
-      .set("moves", moves.size())
-      .set("feasible", feasible)
-      .set("throwaway_evals_per_sec", baseline_rate)
-      .set("cached_evals_per_sec", cached_rate)
-      .set("speedup", speedup)
-      .set("mismatches", mismatches)
-      .set("pattern_solves", stats.pattern_misses)
-      .set("pattern_hits", stats.pattern_hits)
-      .set("columns_reused", stats.columns_reused)
-      .set("columns_recomputed", stats.columns_recomputed);
-  sweep_json.set("hardware_threads", static_cast<std::size_t>(hardware))
-      .set("speedup_at_4_threads", sweep_speedup_at4)
-      .set("speedup_asserted", sweep_hardware_ok);
-  JsonObject pruning_json;
-  pruning_json.set("sweep", prune_json)
-      .set("largest_prune_rate", largest_prune_rate)
-      .set("largest_speedup", largest_prune_speedup)
-      .set("identical", prune_identical)
-      .set("kinds", kind_json)
-      .set("kinds_identical", kinds_identical)
-      .set("kinds_competitive", kinds_competitive);
-  summary.set("bench", "search_throughput")
-      .set("quick", args.quick)
-      .set("default_instance", default_json)
-      .set("threads_sweep", sweep_json)
-      .set("search_pruning", pruning_json)
-      .set("shape_ok", default_identical && default_speedup_ok &&
-                           sweep_identical &&
-                           (!sweep_hardware_ok || sweep_speedup_ok) &&
-                           prune_identical && prune_effective &&
-                           kinds_identical && kinds_competitive);
+  JsonWriter default_json;
+  default_json.integer_field("sweeps", sweeps)
+      .integer_field("moves", moves.size())
+      .integer_field("feasible", feasible)
+      .number_field("throwaway_evals_per_sec", baseline_rate)
+      .number_field("cached_evals_per_sec", cached_rate)
+      .number_field("speedup", speedup)
+      .integer_field("mismatches", mismatches)
+      .integer_field("pattern_solves", stats.pattern_misses)
+      .integer_field("pattern_hits", stats.pattern_hits)
+      .integer_field("columns_reused", stats.columns_reused)
+      .integer_field("columns_recomputed", stats.columns_recomputed);
+  sweep_json.integer_field("hardware_threads", hardware)
+      .number_field("speedup_at_4_threads", sweep_speedup_at4)
+      .bool_field("speedup_asserted", sweep_hardware_ok);
+  JsonWriter pruning_json;
+  pruning_json.raw_field("sweep", prune_json.str())
+      .number_field("largest_prune_rate", largest_prune_rate)
+      .number_field("largest_speedup", largest_prune_speedup)
+      .bool_field("identical", prune_identical)
+      .raw_field("kinds", kind_json.str())
+      .bool_field("kinds_identical", kinds_identical)
+      .bool_field("kinds_competitive", kinds_competitive);
+  JsonWriter summary;
+  summary.string_field("bench", "search_throughput")
+      .bool_field("quick", args.quick)
+      .raw_field("default_instance", default_json.str())
+      .raw_field("threads_sweep", sweep_json.str())
+      .raw_field("search_pruning", pruning_json.str())
+      .bool_field("shape_ok", default_identical && default_speedup_ok &&
+                                  sweep_identical &&
+                                  (!sweep_hardware_ok || sweep_speedup_ok) &&
+                                  prune_identical && prune_effective &&
+                                  kinds_identical && kinds_competitive);
   streamflow::bench::write_json(args, summary);
   return 0;
 }

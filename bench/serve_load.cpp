@@ -262,25 +262,25 @@ int run(int argc, char** argv) {
     shape_check(speedup >= 1.5, message.str());
   }
 
-  JsonObject cold_json;
-  cold_json.set("rps", cold.rps)
-      .set("p50_ms", cold.latency_ms.p50)
-      .set("p95_ms", cold.latency_ms.p95)
-      .set("p99_ms", cold.latency_ms.p99);
-  JsonObject warm_json;
-  warm_json.set("rps", warm.rps)
-      .set("p50_ms", warm.latency_ms.p50)
-      .set("p95_ms", warm.latency_ms.p95)
-      .set("p99_ms", warm.latency_ms.p99);
-  JsonObject summary;
-  summary.set("bench", "serve_load")
-      .set("requests", latency_requests + throughput_requests)
-      .set("instances", kVariants)
-      .set("store_entries", store.size())
-      .set("cold", cold_json)
-      .set("warm", warm_json)
-      .set("speedup", speedup)
-      .set("identical_responses", identical);
+  JsonWriter cold_json;
+  cold_json.number_field("rps", cold.rps)
+      .number_field("p50_ms", cold.latency_ms.p50)
+      .number_field("p95_ms", cold.latency_ms.p95)
+      .number_field("p99_ms", cold.latency_ms.p99);
+  JsonWriter warm_json;
+  warm_json.number_field("rps", warm.rps)
+      .number_field("p50_ms", warm.latency_ms.p50)
+      .number_field("p95_ms", warm.latency_ms.p95)
+      .number_field("p99_ms", warm.latency_ms.p99);
+  JsonWriter summary;
+  summary.string_field("bench", "serve_load")
+      .integer_field("requests", latency_requests + throughput_requests)
+      .integer_field("instances", kVariants)
+      .integer_field("store_entries", store.size())
+      .raw_field("cold", cold_json.str())
+      .raw_field("warm", warm_json.str())
+      .number_field("speedup", speedup)
+      .bool_field("identical_responses", identical);
   write_json(args, summary);
   return identical && speedup >= 1.5 ? 0 : 1;
 }

@@ -168,9 +168,7 @@ BufferedPrng::BufferedPrng(const Prng& start, simd::Isa isa,
       frontier_(start.state()),
       buffer_(block_draws),
       isa_(isa == simd::Isa::kAuto ? simd::best_isa() : isa),
-      fill_(simd::fill_fn(isa_)),
-      fill_u01_(simd::fill_u01_fn(isa_)),
-      convert_u01_(simd::convert_u01_fn(isa_)),
+      kernels_(&simd::kernels(isa_)),
       lane_jump_(nullptr),
       per_lane_(block_draws / simd::kLanes) {
   SF_REQUIRE(block_draws > 0 && block_draws % (simd::kLanes * 8) == 0,
@@ -195,7 +193,7 @@ void BufferedPrng::fill_uniform01(double* out, std::size_t n) {
   // see simd_fill.hpp).
   if (pos_ < end_) {
     const std::size_t m = std::min(n, end_ - pos_);
-    convert_u01_(buffer_.data() + pos_, out, m);
+    kernels_->convert_u01(buffer_.data() + pos_, out, m);
     pos_ += m;
     i += m;
   }
@@ -203,14 +201,14 @@ void BufferedPrng::fill_uniform01(double* out, std::size_t n) {
   while (n - i >= buffer_.size()) {
     simd::LaneBlock lanes;
     seed_lanes(lanes);
-    fill_u01_(lanes, out + i, per_lane_);
+    kernels_->fill_u01(lanes, out + i, per_lane_);
     i += buffer_.size();
   }
   // Remainder comes out of a fresh raw block.
   while (i < n) {
     refill();
     const std::size_t m = std::min(n - i, end_ - pos_);
-    convert_u01_(buffer_.data() + pos_, out + i, m);
+    kernels_->convert_u01(buffer_.data() + pos_, out + i, m);
     pos_ += m;
     i += m;
   }
@@ -228,7 +226,7 @@ void BufferedPrng::seed_lanes(simd::LaneBlock& lanes) {
 void BufferedPrng::refill() {
   simd::LaneBlock lanes;
   seed_lanes(lanes);
-  fill_(lanes, buffer_.data(), per_lane_);
+  kernels_->fill(lanes, buffer_.data(), per_lane_);
   pos_ = 0;
   end_ = buffer_.size();
 }

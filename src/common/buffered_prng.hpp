@@ -90,9 +90,7 @@ class BufferedPrng final : public RandomSource {
   std::size_t pos_ = 0;
   std::size_t end_ = 0;
   simd::Isa isa_;
-  simd::FillFn fill_;
-  simd::FillU01Fn fill_u01_;
-  simd::ConvertU01Fn convert_u01_;
+  const simd::Kernels* kernels_;
   const detail::LaneJump* lane_jump_;  // T^per_lane tables, interned per size
   std::size_t per_lane_;
 };

@@ -8,12 +8,12 @@
 // to per_lane*kLanes sequential scalar draws — batching never changes the
 // stream, only how fast it is materialized.
 //
-// Kernels live in dedicated translation units compiled with their own ISA
-// flags (-mavx512f/-mavx512dq / -mavx2 / -msse4.1, set per-source in
-// CMakeLists.txt) so the rest of the library stays baseline-ISA. Each TU
-// exposes a getter that returns nullptr when the kernel was not compiled in;
-// runtime dispatch picks the best kernel the CPU actually supports (CPUID
-// via __builtin_cpu_supports).
+// Two kernel families exist: the portable scalar one and AVX2. The AVX2
+// kernels live in their own translation unit, compiled with -mavx2
+// (set per-source in CMakeLists.txt) so the rest of the library stays
+// baseline-ISA; its table is nullptr when the compiler lacks the flag.
+// Runtime dispatch picks AVX2 when it is compiled in and the CPU supports
+// it (CPUID via __builtin_cpu_supports), scalar otherwise.
 #pragma once
 
 #include <cstddef>
@@ -23,9 +23,8 @@
 namespace streamflow::simd {
 
 /// Number of interleaved xoshiro lanes every kernel advances. Eight lanes =
-/// one AVX-512 vector, two AVX2 vectors, or four SSE vectors in flight,
-/// enough to hide the 3-4 cycle xor/rotate dependency chain of a single
-/// state on the sub-512-bit paths.
+/// two AVX2 vectors in flight, enough to hide the 3-4 cycle xor/rotate
+/// dependency chain of a single state.
 inline constexpr std::size_t kLanes = 8;
 
 /// Lane states in structure-of-arrays layout: word w of lane j at s[w][j].
@@ -33,66 +32,46 @@ struct LaneBlock {
   alignas(64) std::uint64_t s[4][kLanes];
 };
 
-/// Fill `out` with per_lane draws from each lane (lane j's run starting at
-/// out + j*per_lane), advancing the lane states in place. per_lane must be a
-/// positive multiple of 8 (the widest in-register transpose tile).
-using FillFn = void (*)(LaneBlock& lanes, std::uint64_t* out,
-                        std::size_t per_lane);
+/// One instruction set's kernel family.
+struct Kernels {
+  /// Fill `out` with per_lane draws from each lane (lane j's run starting at
+  /// out + j*per_lane), advancing the lane states in place. per_lane must be
+  /// a positive multiple of 8.
+  void (*fill)(LaneBlock& lanes, std::uint64_t* out, std::size_t per_lane);
+  /// Same contract, but emits uniform01() doubles instead of raw draws: each
+  /// value is exactly u64_to_unit_double(raw draw) — the conversion is exact
+  /// (53-bit operand, power-of-two scale), so vectorizing it cannot change a
+  /// single bit relative to the scalar expression.
+  void (*fill_u01)(LaneBlock& lanes, double* out, std::size_t per_lane);
+  /// Elementwise out[i] = u64_to_unit_double(in[i]) for already-materialized
+  /// raw draws (BufferedPrng's partial-block drains), any n, in/out
+  /// disjoint. Same exactness guarantee as fill_u01.
+  void (*convert_u01)(const std::uint64_t* in, double* out, std::size_t n);
+};
 
-/// Same contract, but emits uniform01() doubles instead of raw draws: each
-/// value is exactly u64_to_unit_double(raw draw) — the conversion is exact
-/// (53-bit operand, power-of-two scale), so vectorizing it cannot change a
-/// single bit relative to the scalar expression.
-using FillU01Fn = void (*)(LaneBlock& lanes, double* out, std::size_t per_lane);
-
-/// Elementwise out[i] = u64_to_unit_double(in[i]) for already-materialized
-/// raw draws (BufferedPrng's partial-block drains), any n, in/out disjoint.
-/// Same exactness guarantee as FillU01Fn.
-using ConvertU01Fn = void (*)(const std::uint64_t* in, double* out,
-                              std::size_t n);
-
-/// Instruction sets a kernel can be compiled for, in preference order.
+/// Instruction sets a kernel family can be compiled for.
 enum class Isa {
   kScalar,  ///< portable C++ fallback, always available
-  kSse4,    ///< SSE4.1 (pblendw for the exact u64->double conversion)
-  kAvx2,    ///< AVX2, 4 lanes per vector
-  kAvx512,  ///< AVX-512 F+DQ: all 8 lanes in one vector, vprolq, vcvtuqq2pd
-  kAuto,    ///< dispatch: best kernel compiled in AND supported by the CPU
+  kAvx2,    ///< AVX2, two interleaved 4-lane groups
+  kAuto,    ///< dispatch: kAvx2 when compiled in and supported, else kScalar
 };
 
 const char* isa_name(Isa isa);
 
-/// Portable kernels (always compiled).
-void fill_scalar(LaneBlock& lanes, std::uint64_t* out, std::size_t per_lane);
-void fill_u01_scalar(LaneBlock& lanes, double* out, std::size_t per_lane);
-void convert_u01_scalar(const std::uint64_t* in, double* out, std::size_t n);
-
-/// Per-ISA kernel getters: nullptr when that TU was compiled without the ISA
+/// The AVX2 kernels, or nullptr when their TU was compiled without AVX2
 /// (non-x86 target or compiler without the flag).
-FillFn fill_sse4();
-FillU01Fn fill_u01_sse4();
-ConvertU01Fn convert_u01_sse4();
-FillFn fill_avx2();
-FillU01Fn fill_u01_avx2();
-ConvertU01Fn convert_u01_avx2();
-FillFn fill_avx512();
-FillU01Fn fill_u01_avx512();
-ConvertU01Fn convert_u01_avx512();
+const Kernels* avx2_kernels();
 
-/// True when `isa`'s kernel is both compiled in and supported by this CPU.
-bool isa_available(Isa isa);
-
-/// The best available concrete ISA (what kAuto resolves to).
+/// What kAuto resolves to: kAvx2 when avx2_kernels() is non-null and the
+/// CPU supports AVX2, kScalar otherwise.
 Isa best_isa();
 
 /// Every concrete ISA available on this machine, scalar first — the
 /// byte-equality tests iterate this to pin each compiled path.
 std::vector<Isa> available_isas();
 
-/// Resolve an ISA (including kAuto) to its kernel pair. SF_REQUIREs that the
+/// Resolve an ISA (including kAuto) to its kernels. SF_REQUIREs that the
 /// ISA is available.
-FillFn fill_fn(Isa isa);
-FillU01Fn fill_u01_fn(Isa isa);
-ConvertU01Fn convert_u01_fn(Isa isa);
+const Kernels& kernels(Isa isa);
 
 }  // namespace streamflow::simd

@@ -1,7 +1,7 @@
 // AVX2 xoshiro256++ block-fill kernel: 4 lanes per 256-bit vector, two
 // vector groups over the 8 lanes. This TU is compiled with -mavx2 when the
-// compiler supports it (see CMakeLists.txt); otherwise the getters return
-// nullptr and dispatch falls back to SSE4/scalar.
+// compiler supports it (see CMakeLists.txt); otherwise avx2_kernels()
+// returns nullptr and dispatch falls back to scalar.
 #include "common/simd_fill.hpp"
 
 #if defined(__AVX2__)
@@ -90,8 +90,7 @@ inline void store_group(LaneBlock& lanes, std::size_t g, const QuadState& q) {
 // two sequential passes would stall on the chain.
 static_assert(kLanes == 8, "fill kernels interleave exactly two quad groups");
 
-void fill_avx2_impl(LaneBlock& lanes, std::uint64_t* out,
-                    std::size_t per_lane) {
+void fill_avx2(LaneBlock& lanes, std::uint64_t* out, std::size_t per_lane) {
   QuadState qa = load_group(lanes, 0);
   QuadState qb = load_group(lanes, 4);
   std::uint64_t* const base_b = out + 4 * per_lane;
@@ -118,8 +117,7 @@ void fill_avx2_impl(LaneBlock& lanes, std::uint64_t* out,
   store_group(lanes, 4, qb);
 }
 
-void convert_u01_avx2_impl(const std::uint64_t* in, double* out,
-                           std::size_t n) {
+void convert_u01_avx2(const std::uint64_t* in, double* out, std::size_t n) {
   const __m256d scale = _mm256_set1_pd(0x1.0p-53);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -133,7 +131,7 @@ void convert_u01_avx2_impl(const std::uint64_t* in, double* out,
   for (; i < n; ++i) out[i] = static_cast<double>(in[i] >> 11) * 0x1.0p-53;
 }
 
-void fill_u01_avx2_impl(LaneBlock& lanes, double* out, std::size_t per_lane) {
+void fill_u01_avx2(LaneBlock& lanes, double* out, std::size_t per_lane) {
   const __m256d scale = _mm256_set1_pd(0x1.0p-53);
   QuadState qa = load_group(lanes, 0);
   QuadState qb = load_group(lanes, 4);
@@ -159,18 +157,18 @@ void fill_u01_avx2_impl(LaneBlock& lanes, double* out, std::size_t per_lane) {
 
 }  // namespace
 
-FillFn fill_avx2() { return &fill_avx2_impl; }
-FillU01Fn fill_u01_avx2() { return &fill_u01_avx2_impl; }
-ConvertU01Fn convert_u01_avx2() { return &convert_u01_avx2_impl; }
+const Kernels* avx2_kernels() {
+  static constexpr Kernels kAvx2Kernels{&fill_avx2, &fill_u01_avx2,
+                                        &convert_u01_avx2};
+  return &kAvx2Kernels;
+}
 
 }  // namespace streamflow::simd
 
 #else  // !defined(__AVX2__)
 
 namespace streamflow::simd {
-FillFn fill_avx2() { return nullptr; }
-FillU01Fn fill_u01_avx2() { return nullptr; }
-ConvertU01Fn convert_u01_avx2() { return nullptr; }
+const Kernels* avx2_kernels() { return nullptr; }
 }  // namespace streamflow::simd
 
 #endif

@@ -27,68 +27,6 @@ inline std::uint64_t step_lane(LaneBlock& lanes, std::size_t j) {
   return result;
 }
 
-bool cpu_supports(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kSse4:
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("sse4.1");
-#else
-      return false;
-#endif
-    case Isa::kAvx2:
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-    case Isa::kAvx512:
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512dq");
-#else
-      return false;
-#endif
-    case Isa::kAuto:
-      return true;
-  }
-  return false;
-}
-
-bool compiled_in(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-    case Isa::kAuto:
-      return true;
-    case Isa::kSse4:
-      return fill_sse4() != nullptr;
-    case Isa::kAvx2:
-      return fill_avx2() != nullptr;
-    case Isa::kAvx512:
-      return fill_avx512() != nullptr;
-  }
-  return false;
-}
-
-}  // namespace
-
-const char* isa_name(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return "scalar";
-    case Isa::kSse4:
-      return "sse4";
-    case Isa::kAvx2:
-      return "avx2";
-    case Isa::kAvx512:
-      return "avx512";
-    case Isa::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
 void fill_scalar(LaneBlock& lanes, std::uint64_t* out, std::size_t per_lane) {
   for (std::size_t j = 0; j < kLanes; ++j) {
     std::uint64_t* run = out + j * per_lane;
@@ -108,69 +46,48 @@ void convert_u01_scalar(const std::uint64_t* in, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = u64_to_unit_double(in[i]);
 }
 
-bool isa_available(Isa isa) { return compiled_in(isa) && cpu_supports(isa); }
+constexpr Kernels kScalarKernels{&fill_scalar, &fill_u01_scalar,
+                                 &convert_u01_scalar};
+
+bool cpu_has_avx2() {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+}  // namespace
+
+const char* isa_name(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return "scalar";
+    case Isa::kAvx2:
+      return "avx2";
+    case Isa::kAuto:
+      return "auto";
+  }
+  return "?";
+}
 
 Isa best_isa() {
-  static const Isa best = [] {
-    for (const Isa isa : {Isa::kAvx512, Isa::kAvx2, Isa::kSse4}) {
-      if (isa_available(isa)) return isa;
-    }
-    return Isa::kScalar;
-  }();
+  static const Isa best = avx2_kernels() != nullptr && cpu_has_avx2()
+                              ? Isa::kAvx2
+                              : Isa::kScalar;
   return best;
 }
 
 std::vector<Isa> available_isas() {
-  std::vector<Isa> isas{Isa::kScalar};
-  for (const Isa isa : {Isa::kSse4, Isa::kAvx2, Isa::kAvx512}) {
-    if (isa_available(isa)) isas.push_back(isa);
-  }
-  return isas;
+  if (best_isa() == Isa::kAvx2) return {Isa::kScalar, Isa::kAvx2};
+  return {Isa::kScalar};
 }
 
-FillFn fill_fn(Isa isa) {
+const Kernels& kernels(Isa isa) {
   if (isa == Isa::kAuto) isa = best_isa();
-  SF_REQUIRE(isa_available(isa), "requested SIMD ISA is not available");
-  switch (isa) {
-    case Isa::kSse4:
-      return fill_sse4();
-    case Isa::kAvx2:
-      return fill_avx2();
-    case Isa::kAvx512:
-      return fill_avx512();
-    default:
-      return &fill_scalar;
-  }
-}
-
-FillU01Fn fill_u01_fn(Isa isa) {
-  if (isa == Isa::kAuto) isa = best_isa();
-  SF_REQUIRE(isa_available(isa), "requested SIMD ISA is not available");
-  switch (isa) {
-    case Isa::kSse4:
-      return fill_u01_sse4();
-    case Isa::kAvx2:
-      return fill_u01_avx2();
-    case Isa::kAvx512:
-      return fill_u01_avx512();
-    default:
-      return &fill_u01_scalar;
-  }
-}
-
-ConvertU01Fn convert_u01_fn(Isa isa) {
-  if (isa == Isa::kAuto) isa = best_isa();
-  SF_REQUIRE(isa_available(isa), "requested SIMD ISA is not available");
-  switch (isa) {
-    case Isa::kSse4:
-      return convert_u01_sse4();
-    case Isa::kAvx2:
-      return convert_u01_avx2();
-    case Isa::kAvx512:
-      return convert_u01_avx512();
-    default:
-      return &convert_u01_scalar;
-  }
+  if (isa == Isa::kScalar) return kScalarKernels;
+  SF_REQUIRE(best_isa() == Isa::kAvx2, "requested SIMD ISA is not available");
+  return *avx2_kernels();
 }
 
 }  // namespace streamflow::simd

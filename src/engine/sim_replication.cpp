@@ -58,17 +58,4 @@ ReplicatedResult run_replicated_pipeline(const Mapping& mapping,
                     });
 }
 
-ReplicatedResult run_replicated_pipeline_associated(
-    const Mapping& mapping, ExecutionModel model, const Distribution& size_law,
-    const PipelineSimOptions& sim_options, const ExperimentOptions& options,
-    AssociationScope scope) {
-  sim_options.validate();
-  ExperimentRunner runner(options);
-  return runner.run(pipeline_metric_names(),
-                    [&](Prng& prng, std::size_t /*replication*/) {
-                      return to_row(simulate_pipeline_associated(
-                          mapping, model, size_law, prng, sim_options, scope));
-                    });
-}
-
 }  // namespace streamflow

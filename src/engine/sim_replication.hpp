@@ -33,11 +33,4 @@ ReplicatedResult run_replicated_pipeline(
     const StochasticTiming& timing, const PipelineSimOptions& sim_options = {},
     const ExperimentOptions& options = {});
 
-/// Same metrics as run_replicated_pipeline, for the associated case (§6.2).
-ReplicatedResult run_replicated_pipeline_associated(
-    const Mapping& mapping, ExecutionModel model, const Distribution& size_law,
-    const PipelineSimOptions& sim_options = {},
-    const ExperimentOptions& options = {},
-    AssociationScope scope = AssociationScope::kPerDataSet);
-
 }  // namespace streamflow

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "core/analysis_context.hpp"
 #include "core/analyzer.hpp"
@@ -12,7 +13,6 @@
 #include "engine/sim_replication.hpp"
 #include "fuzz/minimize.hpp"
 #include "maxplus/deterministic.hpp"
-#include "serve/protocol.hpp"
 
 namespace streamflow {
 
@@ -551,52 +551,62 @@ std::string HarnessReport::digest() const {
 }
 
 std::string HarnessReport::to_json() const {
-  std::ostringstream os;
-  os.precision(17);
-  os << "{\n";
-  os << "  \"corpus_seed\": " << corpus_seed << ",\n";
-  os << "  \"count\": " << count << ",\n";
-  os << "  \"replications\": " << replications << ",\n";
-  os << "  \"data_sets\": " << data_sets << ",\n";
-  os << "  \"summary\": {\"pass\": " << passes << ", \"fail\": " << fails
-     << ", \"skip\": " << skips << ", \"divergences\": " << divergences.size()
-     << "},\n";
-  os << "  \"scenarios\": [\n";
-  for (std::size_t v = 0; v < verdicts.size(); ++v) {
-    const ScenarioVerdict& verdict = verdicts[v];
-    os << "    {\"id\": " << verdict.id << ", \"regime\": \""
-       << to_string(verdict.regime) << "\", \"law\": \""
-       << json_escape(verdict.law_spec) << "\",\n";
-    os << "     \"analyzer_throughput\": " << verdict.analyzer_throughput
-       << ", \"det_throughput\": " << verdict.det_throughput << ",\n";
-    os << "     \"exp_sim_mean\": " << verdict.exp_sim_mean
-       << ", \"exp_sim_hw\": " << verdict.exp_sim_hw
-       << ", \"law_sim_mean\": " << verdict.law_sim_mean
-       << ", \"law_sim_hw\": " << verdict.law_sim_hw << ",\n";
-    os << "     \"checks\": {";
+  std::vector<std::string> scenarios;
+  scenarios.reserve(verdicts.size());
+  for (const ScenarioVerdict& verdict : verdicts) {
+    JsonWriter checks;
     for (std::size_t c = 0; c < kNumChecks; ++c) {
-      if (c > 0) os << ", ";
-      os << "\"" << to_string(static_cast<CheckId>(c)) << "\": {\"status\": \""
-         << to_string(verdict.checks[c].status) << "\", \"detail\": \""
-         << json_escape(verdict.checks[c].detail) << "\"}";
+      checks.raw_field(to_string(static_cast<CheckId>(c)),
+                       JsonWriter()
+                           .string_field("status",
+                                         to_string(verdict.checks[c].status))
+                           .string_field("detail", verdict.checks[c].detail)
+                           .str());
     }
-    os << "}}" << (v + 1 < verdicts.size() ? "," : "") << "\n";
+    scenarios.push_back(
+        JsonWriter()
+            .integer_field("id", verdict.id)
+            .string_field("regime", to_string(verdict.regime))
+            .string_field("law", verdict.law_spec)
+            .number_field("analyzer_throughput", verdict.analyzer_throughput)
+            .number_field("det_throughput", verdict.det_throughput)
+            .number_field("exp_sim_mean", verdict.exp_sim_mean)
+            .number_field("exp_sim_hw", verdict.exp_sim_hw)
+            .number_field("law_sim_mean", verdict.law_sim_mean)
+            .number_field("law_sim_hw", verdict.law_sim_hw)
+            .raw_field("checks", checks.str())
+            .str());
   }
-  os << "  ],\n";
-  os << "  \"divergences\": [\n";
-  for (std::size_t d = 0; d < divergences.size(); ++d) {
-    const DivergenceRecord& record = divergences[d];
-    os << "    {\"scenario\": " << record.scenario_id << ", \"check\": \""
-       << to_string(record.check) << "\", \"detail\": \""
-       << json_escape(record.detail) << "\",\n";
-    os << "     \"original\": \"" << json_escape(record.original_label)
-       << "\", \"shrink_steps\": " << record.shrink_steps
-       << ", \"fixture\": \"" << json_escape(record.fixture_text) << "\"}"
-       << (d + 1 < divergences.size() ? "," : "") << "\n";
+  std::vector<std::string> records;
+  records.reserve(divergences.size());
+  for (const DivergenceRecord& record : divergences) {
+    records.push_back(JsonWriter()
+                          .integer_field("scenario", record.scenario_id)
+                          .string_field("check", to_string(record.check))
+                          .string_field("detail", record.detail)
+                          .string_field("original", record.original_label)
+                          .integer_field("shrink_steps", record.shrink_steps)
+                          .string_field("fixture", record.fixture_text)
+                          .str());
   }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
+  const std::string summary = JsonWriter()
+                                  .integer_field("pass", passes)
+                                  .integer_field("fail", fails)
+                                  .integer_field("skip", skips)
+                                  .integer_field("divergences",
+                                                 divergences.size())
+                                  .str();
+  return JsonWriter()
+             .integer_field("corpus_seed", corpus_seed)
+             .integer_field("count", count)
+             .integer_field("replications", replications)
+             .integer_field("data_sets",
+                            static_cast<std::uint64_t>(data_sets))
+             .raw_field("summary", summary)
+             .array_field("scenarios", scenarios)
+             .array_field("divergences", records)
+             .str() +
+         "\n";
 }
 
 }  // namespace streamflow

@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cstdio>
 #include <limits>
 
 #include "common/error.hpp"
@@ -127,31 +126,6 @@ const char* kind_name(JsonValue::Kind kind) {
 
 }  // namespace
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 FlatRequest FlatRequest::parse(const std::string& line) {
   Cursor cursor{line};
   cursor.expect('{', "expected '{' opening the request object");
@@ -263,40 +237,5 @@ void FlatRequest::expect_exhausted() const {
     throw InvalidArgument("unknown field(s) for this op: " + unknown);
   }
 }
-
-void JsonWriter::begin_field(const std::string& key) {
-  if (!body_.empty()) body_ += ",";
-  body_ += "\"" + json_escape(key) + "\":";
-}
-
-void JsonWriter::string_field(const std::string& key,
-                              const std::string& value) {
-  begin_field(key);
-  body_ += "\"" + json_escape(value) + "\"";
-}
-
-void JsonWriter::number_field(const std::string& key, double value) {
-  begin_field(key);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  body_ += buf;
-}
-
-void JsonWriter::integer_field(const std::string& key, std::uint64_t value) {
-  begin_field(key);
-  body_ += std::to_string(value);
-}
-
-void JsonWriter::bool_field(const std::string& key, bool value) {
-  begin_field(key);
-  body_ += value ? "true" : "false";
-}
-
-void JsonWriter::raw_field(const std::string& key, const std::string& json) {
-  begin_field(key);
-  body_ += json;
-}
-
-std::string JsonWriter::str() const { return "{" + body_ + "}"; }
 
 }  // namespace streamflow

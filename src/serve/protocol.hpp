@@ -15,16 +15,18 @@
 // expect_exhausted() then rejects any field the handler did not recognize,
 // so a typo'd option fails loudly instead of being silently ignored.
 //
-// Responses are emitted through JsonWriter with every double printed at
-// precision 17 (round-trip exact) — the response byte stream is part of
-// the determinism contract (tests/test_serve.cpp), so formatting must be
-// locale-free and bit-stable.
+// Responses are emitted through the project's one JsonWriter
+// (common/json.hpp), whose output is locale-free and bit-stable — the
+// response byte stream is part of the determinism contract
+// (tests/test_serve.cpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/json.hpp"
 
 namespace streamflow {
 
@@ -36,9 +38,6 @@ struct JsonValue {
   std::string text;   ///< decoded string, or the raw number token
   bool flag = false;  ///< kBool only
 };
-
-/// `text` with JSON string escaping applied (quotes not included).
-std::string json_escape(const std::string& text);
 
 /// One parsed request line. Accessors consume fields; expect_exhausted()
 /// rejects leftovers. All throws are InvalidArgument.
@@ -70,26 +69,6 @@ class FlatRequest {
 
   std::vector<std::pair<std::string, JsonValue>> fields_;
   std::vector<bool> taken_;
-};
-
-/// Ordered single-line JSON object emitter. Doubles print with %.17g
-/// (bit round-trip exact); field order is insertion order.
-class JsonWriter {
- public:
-  void string_field(const std::string& key, const std::string& value);
-  void number_field(const std::string& key, double value);
-  void integer_field(const std::string& key, std::uint64_t value);
-  void bool_field(const std::string& key, bool value);
-  /// Appends `json` verbatim as the field's value (for nested writers and
-  /// echoed ids).
-  void raw_field(const std::string& key, const std::string& json);
-
-  /// The complete object, braces included.
-  std::string str() const;
-
- private:
-  void begin_field(const std::string& key);
-  std::string body_;
 };
 
 }  // namespace streamflow

@@ -40,8 +40,8 @@ struct PipelineSimOptions {
   /// Refill kernel of the per-resource samplers: each resource (team
   /// member's compute unit, link, association multiplier slot) draws from
   /// its own pure split() substream of the injected stream's entry state,
-  /// served through SIMD-refilled BatchSamplers. kAuto picks the best the
-  /// CPU supports. Tests force scalar/SSE4/AVX2 to pin byte-equality per
+  /// served through SIMD-refilled BatchSamplers. kAuto picks AVX2 when the
+  /// CPU supports it. Tests force scalar/AVX2 to pin byte-equality per
   /// path.
   simd::Isa refill_isa = simd::Isa::kAuto;
 

@@ -32,8 +32,8 @@ struct TegSimOptions {
   /// from its own pure split() substream of the injected stream's entry
   /// state, served through a SIMD-refilled BatchSampler — deterministic for
   /// a given (graph, laws, stream state) and independent of everything
-  /// else. kAuto picks the best the CPU supports. Tests force
-  /// scalar/SSE4/AVX2 to pin byte-equality per path.
+  /// else. kAuto picks AVX2 when the CPU supports it. Tests force
+  /// scalar/AVX2 to pin byte-equality per path.
   simd::Isa refill_isa = simd::Isa::kAuto;
 
   /// Rejects out-of-range settings (rounds < 10, warmup_fraction outside

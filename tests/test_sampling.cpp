@@ -1,15 +1,17 @@
 // The SIMD-batched sampling layer's core contract: batching changes HOW FAST
 // draws are materialized, never WHICH draws. Every test here pins
 // byte-equality between a batch-filled stream and the plain scalar Prng on
-// every kernel compiled into this build (scalar fallback always; SSE4/AVX2
-// when the host supports them), including refill-boundary crossings, partial
-// drains, and the batched transform kernels of the inversion families.
+// every kernel compiled into this build (scalar always; AVX2 when it is
+// compiled in and the host supports it), including refill-boundary
+// crossings, partial drains, and the batched transform kernels of the
+// inversion families.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "common/buffered_prng.hpp"
+#include "common/error.hpp"
 #include "common/prng.hpp"
 #include "common/simd_fill.hpp"
 #include "core/analyzer.hpp"
@@ -34,13 +36,41 @@ constexpr std::size_t kSmallBlock = simd::kLanes * 8 * 3;
 
 std::vector<simd::Isa> isas() { return simd::available_isas(); }
 
-TEST(SimdDispatch, ScalarAlwaysAvailableAndAutoResolves) {
-  EXPECT_TRUE(simd::isa_available(simd::Isa::kScalar));
-  const simd::Isa best = simd::best_isa();
-  EXPECT_NE(best, simd::Isa::kAuto);
-  EXPECT_TRUE(simd::isa_available(best));
-  EXPECT_NE(simd::fill_fn(simd::Isa::kAuto), nullptr);
-  EXPECT_NE(simd::fill_u01_fn(simd::Isa::kAuto), nullptr);
+bool cpu_has_avx2() {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+TEST(SimdDispatch, BestIsaIsAvx2ExactlyWhenCompiledInAndSupported) {
+  const bool avx2 = simd::avx2_kernels() != nullptr && cpu_has_avx2();
+  EXPECT_EQ(simd::best_isa(), avx2 ? simd::Isa::kAvx2 : simd::Isa::kScalar);
+}
+
+TEST(SimdDispatch, AvailableIsasAreScalarThenAvx2) {
+  const std::vector<simd::Isa> expected =
+      simd::best_isa() == simd::Isa::kAvx2
+          ? std::vector<simd::Isa>{simd::Isa::kScalar, simd::Isa::kAvx2}
+          : std::vector<simd::Isa>{simd::Isa::kScalar};
+  EXPECT_EQ(simd::available_isas(), expected);
+}
+
+TEST(SimdDispatch, IsaNameNamesEveryEnumerator) {
+  EXPECT_STREQ(simd::isa_name(simd::Isa::kScalar), "scalar");
+  EXPECT_STREQ(simd::isa_name(simd::Isa::kAvx2), "avx2");
+  EXPECT_STREQ(simd::isa_name(simd::Isa::kAuto), "auto");
+}
+
+TEST(SimdDispatch, AutoResolvesToTheBestKernels) {
+  EXPECT_EQ(&simd::kernels(simd::Isa::kAuto),
+            &simd::kernels(simd::best_isa()));
+  if (simd::best_isa() == simd::Isa::kAvx2) {
+    EXPECT_EQ(&simd::kernels(simd::Isa::kAvx2), simd::avx2_kernels());
+  } else {
+    EXPECT_THROW((void)simd::kernels(simd::Isa::kAvx2), InvalidArgument);
+  }
 }
 
 TEST(BufferedPrng, RawStreamByteEqualOnEveryIsa) {

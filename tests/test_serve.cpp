@@ -12,16 +12,24 @@
 //    responses no matter how often or in what interleaving it is served
 //    (Debug builds additionally assert this inside the loop itself);
 //  * graceful shutdown: the shutdown request's batch is drained and
-//    answered, lines after it are never read.
+//    answered, lines after it are never read;
+//  * the JSON writer every response goes through (common/json.hpp):
+//    non-finite numbers as null, escaping, nesting, and bit-exact double
+//    round-trips through FlatRequest::parse.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/pattern_store.hpp"
 #include "serve/protocol.hpp"
 
@@ -253,6 +261,46 @@ TEST(Serve, ResponseIdEchoPreservesRawToken) {
       handle_request("{\"id\":13,\"op\":\"frobnicate\"}", options).response;
   EXPECT_NE(error.find("\"id\":13"), std::string::npos);
   EXPECT_NE(error.find("\"ok\":false"), std::string::npos);
+}
+
+TEST(JsonWriter, NonFiniteNumbersAreNull) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(JsonWriter()
+                .number_field("a", kInf)
+                .number_field("b", -kInf)
+                .number_field("c", std::numeric_limits<double>::quiet_NaN())
+                .str(),
+            "{\"a\":null,\"b\":null,\"c\":null}");
+}
+
+TEST(JsonWriter, ControlCharactersAreEscaped) {
+  EXPECT_EQ(JsonWriter().string_field("k\n", "q\"b\\\t\r\b\f\x01\x1f").str(),
+            "{\"k\\n\":\"q\\\"b\\\\\\t\\r\\b\\f\\u0001\\u001f\"}");
+}
+
+TEST(JsonWriter, NestedObjectGoesThroughRawField) {
+  const std::string inner =
+      JsonWriter().integer_field("n", 7).bool_field("ok", false).str();
+  EXPECT_EQ(JsonWriter()
+                .string_field("name", "x")
+                .raw_field("inner", inner)
+                .array_field("list", {inner, "1"})
+                .str(),
+            "{\"name\":\"x\",\"inner\":{\"n\":7,\"ok\":false},"
+            "\"list\":[{\"n\":7,\"ok\":false},1]}");
+}
+
+TEST(JsonWriter, DoublesRoundTripBitExactlyThroughTheParser) {
+  const double smallest_denormal = std::numeric_limits<double>::denorm_min();
+  for (const double value : {0.1, 1.0 / 3, -0.0, DBL_MAX, smallest_denormal}) {
+    // take_id() hands back the raw number token of the "id" field.
+    FlatRequest request =
+        FlatRequest::parse(JsonWriter().number_field("id", value).str());
+    const std::string token = request.take_id();
+    const double parsed = std::strtod(token.c_str(), nullptr);
+    EXPECT_EQ(std::memcmp(&parsed, &value, sizeof(double)), 0)
+        << token << " does not read back as " << value;
+  }
 }
 
 }  // namespace

@@ -63,11 +63,14 @@ for config in "${configs[@]}"; do
     echo "==> ${config}: fuzz corpus report"
     "./${build_dir}/streamflow_cli" fuzz --seed 1 --count 25 \
         --json "${build_dir}/FUZZ_report.json"
+    # Every artifact must parse as JSON: an "inf" or a stray comma fails
+    # here rather than in whoever downloads the artifact.
     echo "==> ${config}: bench summary artifacts"
-    cat "${build_dir}/BENCH_search_throughput.json"
-    cat "${build_dir}/BENCH_sampling_throughput.json"
-    cat "${build_dir}/BENCH_serve_load.json"
-    cat "${build_dir}/FUZZ_report.json"
+    for artifact in BENCH_search_throughput BENCH_sampling_throughput \
+                    BENCH_serve_load FUZZ_report; do
+      python3 -m json.tool "${build_dir}/${artifact}.json" > /dev/null
+      cat "${build_dir}/${artifact}.json"
+    done
   fi
 done
 
