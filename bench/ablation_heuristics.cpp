@@ -12,6 +12,7 @@
 #include "common/stats.hpp"
 #include "core/analyzer.hpp"
 #include "core/heuristics.hpp"
+#include "engine/parallel_search.hpp"
 #include "model/random_instance.hpp"
 
 namespace {
@@ -68,11 +69,14 @@ int main(int argc, char** argv) {
     Platform platform =
         Platform::fully_connected(speeds, prng.uniform(2.0, 8.0));
 
-    MappingSearchOptions options;
-    options.objective = MappingObjective::kExponential;
-    options.restarts = args.quick ? 2 : 4;
-    options.seed = 1000 + static_cast<std::uint64_t>(inst);
-    const auto result = optimize_mapping(app, platform, options);
+    ParallelSearchOptions search;
+    search.search.objective = MappingObjective::kExponential;
+    search.search.restarts = args.quick ? 2 : 4;
+    search.search.seed = 1000 + static_cast<std::uint64_t>(inst);
+    search.threads = 1;
+    const MappingSearchOptions& options = search.search;
+    const ParallelSearchResult result =
+        parallel_optimize_mapping(make_instance(app, platform), search);
 
     double random_best = 0.0;
     for (int r = 0; r < 50; ++r) {

@@ -20,7 +20,7 @@
 // still runs and the verdict degrades to SHAPE-INFO).
 //
 // Part 3 is the bound-screen pruning sweep plus the metaheuristic kind
-// portfolio. The pruning sweep runs the same serial search on the
+// portfolio. The pruning sweep runs the same search on one thread on the
 // large-platform instances under BoundPolicy::kNone / kMct / kMctMaxplus,
 // asserts the screened results bit-identical to the unscreened search
 // (scores, mappings, evaluation counts, and the probe-accounting identity),
@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- Part 3a: admissible bound-screen pruning sweep ----------------------
-  // The same serial search, unscreened vs screened: the screens must change
+  // The same one-thread search, unscreened vs screened: the screens must change
   // nothing but the work done.
   const std::vector<std::size_t> platform_sizes =
       args.quick ? std::vector<std::size_t>{160}
@@ -332,17 +332,19 @@ int main(int argc, char** argv) {
   double largest_prune_speedup = 0.0;
   for (const std::size_t m : platform_sizes) {
     const streamflow::InstancePtr big = large_instance(m).instance();
-    std::optional<streamflow::MappingSearchResult> reference;
+    std::optional<streamflow::ParallelSearchResult> reference;
     double reference_seconds = 0.0;
     JsonWriter size_json;
     for (const streamflow::BoundPolicy policy :
          {streamflow::BoundPolicy::kNone, streamflow::BoundPolicy::kMct,
           streamflow::BoundPolicy::kMctMaxplus}) {
-      MappingSearchOptions screened = prune_options;
-      screened.bounds = policy;
+      ParallelSearchOptions screened;
+      screened.search = prune_options;
+      screened.search.bounds = policy;
+      screened.threads = 1;
       Stopwatch watch;
-      const streamflow::MappingSearchResult result =
-          streamflow::optimize_mapping(big, screened);
+      const streamflow::ParallelSearchResult result =
+          streamflow::parallel_optimize_mapping(big, screened);
       const double seconds = watch.seconds();
       const std::size_t pruned =
           result.moves_pruned_mct + result.moves_pruned_maxplus;

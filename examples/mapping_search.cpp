@@ -8,14 +8,14 @@
 // so optimizing the exponential objective yields deployments that are
 // robust to timing variability.
 //
-// All candidate mappings are scored through one shared AnalysisContext, so
-// every communication-pattern CTMC solve is computed once and local-search
-// neighbours are evaluated incrementally; the cache statistics printed at
-// the end show how much work the context absorbed.
+// Both searches run on the calling thread (threads = 1) through a memoizing
+// analysis context, so every communication-pattern CTMC solve is computed
+// once per search and local-search neighbours are evaluated incrementally.
 //
 // The last sections fan a larger restart portfolio out over every core
 // (engine/parallel_search.hpp) and verify the determinism contract live
-// (the parallel result is bit-identical to the serial search), re-run the
+// (the parallel result is bit-identical to the same search on one thread),
+// re-run the
 // search under the admissible bound screens (BoundPolicy::kMct /
 // kMctMaxplus) to show the screens skip most exact solves without changing
 // a single bit of the result, and finish with the simulated-annealing and
@@ -27,7 +27,6 @@
 #include <iostream>
 
 #include "common/prng.hpp"
-#include "core/analysis_context.hpp"
 #include "core/analyzer.hpp"
 #include "core/heuristics.hpp"
 #include "engine/parallel_search.hpp"
@@ -57,14 +56,15 @@ int main() {
   // One shared immutable instance: both searches (thousands of candidate
   // mappings) reference it without ever copying the bandwidth matrix.
   const InstancePtr instance = make_instance(app, platform);
-  AnalysisContext context;  // shared by both searches below
   for (const MappingObjective objective :
        {MappingObjective::kDeterministic, MappingObjective::kExponential}) {
-    MappingSearchOptions options;
-    options.objective = objective;
-    options.restarts = 6;
-    options.seed = 7;
-    const auto result = optimize_mapping(instance, options, context);
+    ParallelSearchOptions options;
+    options.search.objective = objective;
+    options.search.restarts = 6;
+    options.search.seed = 7;
+    options.threads = 1;
+    const ParallelSearchResult result =
+        parallel_optimize_mapping(instance, options);
 
     const double det =
         deterministic_throughput(result.mapping, ExecutionModel::kOverlap)
@@ -86,27 +86,19 @@ int main() {
     std::cout << "  best mapping : " << result.mapping.to_string() << "\n";
     std::cout << "  evaluations  : " << result.evaluations
               << " (greedy start " << result.greedy_throughput
-              << "; pattern cache " << result.pattern_cache_hits << " hits / "
-              << result.pattern_cache_misses << " misses)\n";
+              << "; " << result.pattern_requests
+              << " pattern solves requested)\n";
     std::cout << "  det analysis : " << det << "\n";
     std::cout << "  exp analysis : " << exp << "\n";
     std::cout << "  exp simulated: " << sim.throughput
               << "  (mean latency " << sim.mean_latency << ")\n\n";
   }
 
-  const AnalysisCacheStats& stats = context.stats();
-  std::cout << "shared context: " << stats.evaluations
-            << " objective evaluations, " << context.pattern_cache_size()
-            << " cached pattern solves (" << stats.pattern_hits << " hits / "
-            << stats.pattern_misses << " misses, "
-            << stats.columns_reused
-            << " columns reused incrementally)\n\n";
-
   // ---- Parallel portfolio: the same search, every core busy --------------
   // A bigger multistart fanned over the engine thread pool. The serial
   // reduction and the pre-materialized restart starts make the result a
   // pure function of (instance, options): we verify it bitwise against the
-  // serial search right here.
+  // same search on one thread right here.
   ParallelSearchOptions portfolio;
   portfolio.search.objective = MappingObjective::kExponential;
   portfolio.search.restarts = 12;
@@ -114,8 +106,10 @@ int main() {
   const ParallelSearchResult fanned =
       parallel_optimize_mapping(instance, portfolio);
 
-  MappingSearchOptions serial_options = portfolio.search;
-  const auto serial = optimize_mapping(instance, serial_options);
+  ParallelSearchOptions serial_options = portfolio;
+  serial_options.threads = 1;
+  const ParallelSearchResult serial =
+      parallel_optimize_mapping(instance, serial_options);
   const bool identical =
       fanned.throughput == serial.throughput &&
       fanned.evaluations == serial.evaluations &&
@@ -129,20 +123,21 @@ int main() {
   std::cout << "  evaluations  : " << fanned.evaluations << " across "
             << fanned.restarts << " restarts, " << fanned.pattern_requests
             << " pattern solves requested\n";
-  std::cout << "  vs serial    : "
+  std::cout << "  vs 1 thread  : "
             << (identical ? "bit-identical (as promised)"
                           : "MISMATCH — determinism contract violated!")
             << "\n\n";
 
   // ---- Bound screens: prune the move loop, change nothing ----------------
-  // The same serial search with the two-tier admissible screens armed. A
+  // The same one-thread search with the two-tier admissible screens armed. A
   // cheap incremental rate bound (and, on escalation, the max-plus
   // deterministic bound) filters moves that provably cannot beat the
   // incumbent before the exact CTMC solve — the result must stay
   // bit-identical, only the work changes.
-  MappingSearchOptions screened_options = serial_options;
-  screened_options.bounds = BoundPolicy::kMctMaxplus;
-  const auto screened = optimize_mapping(instance, screened_options);
+  ParallelSearchOptions screened_options = serial_options;
+  screened_options.search.bounds = BoundPolicy::kMctMaxplus;
+  const ParallelSearchResult screened =
+      parallel_optimize_mapping(instance, screened_options);
   const std::size_t pruned =
       screened.moves_pruned_mct + screened.moves_pruned_maxplus;
   const std::size_t probes = pruned + screened.moves_solved;

@@ -289,10 +289,11 @@ double evaluate_mapping(const Mapping& mapping,
 
 void validate_mapping_search(const InstancePtr& instance,
                              const MappingSearchOptions& options) {
-  SF_REQUIRE(instance != nullptr, "optimize_mapping requires an instance");
+  SF_REQUIRE(instance != nullptr, "mapping search requires an instance");
   SF_REQUIRE(instance->platform.num_processors() >=
                  instance->application.num_stages(),
              "need at least one processor per stage");
+  SF_REQUIRE(options.max_paths >= 1, "max_paths must be at least 1");
   if (options.objective == MappingObjective::kExponential) {
     SF_REQUIRE(options.model == ExecutionModel::kOverlap,
                "the exponential objective uses the column method, which "
@@ -496,72 +497,6 @@ std::optional<Mapping> realize_assignment(const InstancePtr& instance,
                                           std::int64_t max_paths) {
   SF_REQUIRE(instance != nullptr, "realize_assignment requires an instance");
   return realize(instance, assignment, max_paths);
-}
-
-MappingSearchResult optimize_mapping(const InstancePtr& instance,
-                                     const MappingSearchOptions& options) {
-  AnalysisContext context;
-  return optimize_mapping(instance, options, context);
-}
-
-MappingSearchResult optimize_mapping(const Application& application,
-                                     const Platform& platform,
-                                     const MappingSearchOptions& options) {
-  AnalysisContext context;
-  return optimize_mapping(application, platform, options, context);
-}
-
-MappingSearchResult optimize_mapping(const Application& application,
-                                     const Platform& platform,
-                                     const MappingSearchOptions& options,
-                                     AnalysisContext& context) {
-  // The one instance copy of the whole search: every candidate below
-  // shares this allocation.
-  return optimize_mapping(make_instance(application, platform), options,
-                          context);
-}
-
-// The serial reference reduction: restart 0 (greedy) plus restarts drawn
-// sequentially from one Prng, folded in restart order with strict-improvement
-// comparison (ties keep the earliest restart). engine/parallel_search runs
-// the same restarts on a thread pool and applies the same in-order reduction,
-// so its result is bit-identical to this loop for any thread count.
-MappingSearchResult optimize_mapping(const InstancePtr& instance,
-                                     const MappingSearchOptions& options,
-                                     AnalysisContext& context) {
-  SF_REQUIRE(options.kind == RestartKind::kGreedyLocal,
-             "the serial optimize_mapping runs the greedy+local-search "
-             "portfolio only; kAnnealing/kTabu islands run through "
-             "parallel_optimize_mapping (engine/parallel_search.hpp)");
-  validate_mapping_search(instance, options);
-  const AnalysisCacheStats before = context.stats();
-  Prng prng(options.seed);
-
-  RestartResult best = run_greedy_restart(instance, options, context);
-  const double greedy_score = best.start_score;
-
-  for (std::size_t restart = 1; restart < options.restarts; ++restart) {
-    RestartResult r = run_random_restart(
-        instance,
-        draw_restart_assignment(instance->application, instance->platform,
-                                prng),
-        options, context);
-    if (r.feasible && r.score > best.score) best = std::move(r);
-  }
-
-  auto mapping = realize(instance, best.assignment, options.max_paths);
-  if (!mapping) throw InvalidArgument("no restart reached a feasible mapping");
-  const AnalysisCacheStats& after = context.stats();
-  return MappingSearchResult{std::move(*mapping),
-                             best.score,
-                             greedy_score,
-                             after.evaluations - before.evaluations,
-                             after.pattern_hits - before.pattern_hits,
-                             after.pattern_misses - before.pattern_misses,
-                             after.moves_pruned_mct - before.moves_pruned_mct,
-                             after.moves_pruned_maxplus -
-                                 before.moves_pruned_maxplus,
-                             after.moves_solved - before.moves_solved};
 }
 
 }  // namespace streamflow

@@ -4,7 +4,9 @@
 // we will be able to compute the throughput of heuristics and compare
 // them"). This module does exactly that: greedy construction plus
 // steepest-ascent local search, scored by the throughput evaluators of this
-// library.
+// library. It provides the single-restart building blocks; the search entry
+// point, which runs and reduces a portfolio of restarts, is
+// parallel_optimize_mapping (engine/parallel_search.hpp).
 //
 // The search explores one-to-many mappings (each processor serves at most
 // one stage; every stage gets a non-empty team) with two move kinds:
@@ -88,7 +90,7 @@ struct MappingSearchOptions {
   std::size_t restarts = 4;
   /// Local-search sweeps per start before giving up on improvement.
   std::size_t max_sweeps = 50;
-  /// Reject mappings with lcm(R_1..R_N) above this.
+  /// Reject mappings with lcm(R_1..R_N) above this (>= 1).
   std::int64_t max_paths = 256;
   std::uint64_t seed = 1;
   /// Leave processors unused when that helps (a slow straggler can reduce
@@ -110,9 +112,8 @@ struct MappingSearchOptions {
 
   // ---- Metaheuristic knobs (kAnnealing / kTabu islands) --------------------
 
-  /// Which search runs per restart / island leg. The serial
-  /// optimize_mapping supports kGreedyLocal only; kAnnealing/kTabu run as
-  /// deterministic islands through engine/parallel_search.
+  /// Which search runs per restart / island leg. kAnnealing/kTabu run as
+  /// deterministic islands (engine/parallel_search).
   RestartKind kind = RestartKind::kGreedyLocal;
   /// Moves proposed (annealing) or best-neighbour steps taken (tabu) per
   /// island leg, i.e. between two synchronization points.
@@ -126,72 +127,22 @@ struct MappingSearchOptions {
   std::size_t tabu_tenure = 8;
 };
 
-struct MappingSearchResult {
-  Mapping mapping;                ///< the best mapping found
-  double throughput = 0.0;        ///< its objective value
-  double greedy_throughput = 0.0; ///< objective after greedy construction
-  /// Every objective evaluation of a feasible candidate, greedy
-  /// construction included: full evaluations plus incremental move
-  /// evaluations (committing an already-evaluated move is not recounted).
-  std::size_t evaluations = 0;
-  /// Communication-pattern CTMC solves answered from the context cache
-  /// during this search (0 for the deterministic objective).
-  std::size_t pattern_cache_hits = 0;
-  /// Pattern CTMC solves actually computed (cache misses) during this
-  /// search.
-  std::size_t pattern_cache_misses = 0;
-  /// Move probes skipped by the tier-1 cycle-time screen (0 under
-  /// BoundPolicy::kNone). Pruned probes still count in `evaluations`, so
-  /// that counter is bit-equal to the unscreened search's;
-  /// moves_solved + moves_pruned_mct + moves_pruned_maxplus equals the
-  /// unscreened search's moves_solved (asserted in tests).
-  std::size_t moves_pruned_mct = 0;
-  /// Move probes skipped by the tier-2 max-plus screen.
-  std::size_t moves_pruned_maxplus = 0;
-  /// Move probes that survived the screens and paid the full solve.
-  std::size_t moves_solved = 0;
-};
-
-/// Runs the search. Requires num_processors >= num_stages.
-/// Throws InvalidArgument for kExponential with the Strict model, and
-/// when no restart reaches a feasible mapping. The overload without a
-/// context uses a private throwaway AnalysisContext; pass a shared context
-/// to reuse pattern solves across searches (results are identical either
-/// way — see the determinism tests).
-///
-/// The InstancePtr overloads are the primary entry points: every candidate
-/// mapping of the whole search shares that one immutable instance (no copy
-/// of the application or the bandwidth matrix, ever — asserted in
-/// tests/test_heuristics.cpp). The (application, platform) overloads are
-/// compatibility wrappers that bundle their arguments into one shared
-/// instance up front and forward.
-MappingSearchResult optimize_mapping(const InstancePtr& instance,
-                                     const MappingSearchOptions& options = {});
-MappingSearchResult optimize_mapping(const InstancePtr& instance,
-                                     const MappingSearchOptions& options,
-                                     AnalysisContext& context);
-MappingSearchResult optimize_mapping(const Application& application,
-                                     const Platform& platform,
-                                     const MappingSearchOptions& options = {});
-MappingSearchResult optimize_mapping(const Application& application,
-                                     const Platform& platform,
-                                     const MappingSearchOptions& options,
-                                     AnalysisContext& context);
-
 /// Scores one mapping under the chosen objective (exposed for comparisons).
 double evaluate_mapping(const Mapping& mapping,
                         const MappingSearchOptions& options);
 
 // ---- Re-entrant single-restart API ----------------------------------------
 //
-// optimize_mapping is a serial in-order reduction over independent restarts:
-// restart 0 is the greedy construction plus one local-search pass, restart
-// k >= 1 is a local-search pass from a drawn random start. The pieces are
-// exposed here so a portfolio driver (engine/parallel_search.hpp) can fan
-// the restarts out over a thread pool: every function below touches only
-// its arguments — the shared immutable instance is read-only and the
-// AnalysisContext carries all mutable state — so any number of restarts may
-// run concurrently as long as each thread brings its own context.
+// A search is an in-order reduction over independent restarts: restart 0 is
+// the greedy construction plus one local-search pass, restart k >= 1 is a
+// local-search pass from a drawn random start. The portfolio driver
+// (engine/parallel_search.hpp) fans the restarts out over a thread pool:
+// every function below touches only its arguments — the shared immutable
+// instance is read-only and the AnalysisContext carries all mutable state —
+// so any number of restarts may run concurrently as long as each thread
+// brings its own context. Every candidate mapping of a search shares the
+// one immutable instance (no copy of the application or the bandwidth
+// matrix, ever — asserted in tests/test_heuristics.cpp).
 
 /// The assignment representation of the search: the stage index served by
 /// each processor, with Mapping::kUnused for processors left out.
@@ -209,7 +160,7 @@ struct RestartResult {
   /// Objective value after local search.
   double score = -std::numeric_limits<double>::infinity();
   /// Objective value of the start itself: the greedy construction score for
-  /// restart 0 (reported as MappingSearchResult::greedy_throughput), the
+  /// restart 0 (reported as ParallelSearchResult::greedy_throughput), the
   /// first feasible score for a random restart.
   double start_score = -std::numeric_limits<double>::infinity();
   /// Final assignment of the restart (realize it with realize_assignment).
@@ -219,15 +170,17 @@ struct RestartResult {
   /// Pattern solves requested by this restart: cache hits + misses. The
   /// hit/miss split depends on the warmth of the context, the sum does not.
   std::size_t pattern_requests = 0;
-  /// Bound-screen accounting for this restart (see MappingSearchResult).
+  /// Bound-screen accounting for this restart (see ParallelSearchResult).
   std::size_t moves_pruned_mct = 0;
   std::size_t moves_pruned_maxplus = 0;
   std::size_t moves_solved = 0;
 };
 
-/// Validates (instance, options) exactly as optimize_mapping does; throws
-/// InvalidArgument on violation. Portfolio drivers call this once before
-/// fanning restarts out so option errors surface on the caller's thread.
+/// Validates (instance, options): a non-null instance with num_processors
+/// >= num_stages, max_paths >= 1, and the Overlap model for the
+/// exponential objective; throws InvalidArgument on violation. Portfolio
+/// drivers call this once before fanning restarts out so option errors
+/// surface on the caller's thread.
 void validate_mapping_search(const InstancePtr& instance,
                              const MappingSearchOptions& options);
 
@@ -238,16 +191,15 @@ RestartResult run_greedy_restart(const InstancePtr& instance,
                                  const MappingSearchOptions& options,
                                  AnalysisContext& context);
 
-/// Draws the random start assignment of one restart — exactly the draw the
-/// serial optimize_mapping makes, exposed so a portfolio can materialize
-/// every start up front (sequentially, preserving the serial draw order)
+/// Draws the random start assignment of one restart, exposed so a portfolio
+/// can materialize every start up front (sequentially, in restart order)
 /// before fanning the searches out.
 StageAssignment draw_restart_assignment(const Application& application,
                                         const Platform& platform, Prng& prng);
 
 /// Restart k >= 1: local search from `start`. Infeasible starts return
-/// feasible == false without consuming any evaluation (matching the serial
-/// search, which skips them).
+/// feasible == false without consuming any evaluation (the reduction skips
+/// them).
 RestartResult run_random_restart(const InstancePtr& instance,
                                  StageAssignment start,
                                  const MappingSearchOptions& options,

@@ -1,12 +1,8 @@
 #include "engine/experiment_runner.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <thread>
 
 #include "common/error.hpp"
-#include "common/mutex.hpp"
 #include "common/stats.hpp"
 #include "engine/stream_factory.hpp"
 #include "engine/thread_pool.hpp"
@@ -15,12 +11,6 @@ namespace streamflow {
 
 void ExperimentOptions::validate() const {
   SF_REQUIRE(replications >= 1, "need at least one replication");
-}
-
-std::size_t ExperimentOptions::resolved_threads() const {
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
 }
 
 namespace {
@@ -58,8 +48,6 @@ ReplicatedResult ExperimentRunner::run(
   SF_REQUIRE(!metric_names.empty(), "experiment declares no metrics");
   SF_REQUIRE(static_cast<bool>(body), "experiment body is empty");
   const std::size_t r = options_.replications;
-  const std::size_t threads =
-      std::min<std::size_t>(options_.resolved_threads(), r);
 
   // Substreams are materialized serially up front (StreamFactory is not
   // thread-safe); each is a self-contained Prng afterwards.
@@ -69,39 +57,15 @@ ReplicatedResult ExperimentRunner::run(
   for (std::size_t k = 0; k < r; ++k) streams.push_back(factory.stream(k));
 
   std::vector<std::vector<double>> rows(r);
-  auto run_one = [&](std::size_t k) { rows[k] = body(streams[k], k); };
-
-  if (threads <= 1) {
-    for (std::size_t k = 0; k < r; ++k) run_one(k);
-  } else {
-    // Workers claim replication indices dynamically; the first exception is
-    // stashed and rethrown after the pool drains.
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr first_error;
-    Mutex error_mutex;
-    ThreadPool pool(threads);
-    for (std::size_t w = 0; w < threads; ++w) {
-      pool.submit([&] {
-        for (;;) {
-          const std::size_t k = next.fetch_add(1);
-          if (k >= r) return;
-          try {
-            run_one(k);
-          } catch (...) {
-            MutexLock lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-          }
-        }
-      });
-    }
-    pool.wait();
-    if (first_error) std::rethrow_exception(first_error);
-  }
+  ThreadPool pool(std::min(resolve_threads(options_.threads), r));
+  pool.for_each(r, [&](std::size_t, std::size_t k) {
+    rows[k] = body(streams[k], k);
+  });
 
   ReplicatedResult result;
   result.metric_names = metric_names;
   result.replications = r;
-  result.threads_used = threads;
+  result.threads_used = pool.size();
   result.seed = options_.seed;
   for (std::size_t k = 0; k < r; ++k) {
     SF_REQUIRE(rows[k].size() == metric_names.size(),

@@ -11,7 +11,7 @@
 //
 // Thread safety: an ExperimentRunner is immutable after construction and
 // run() is const and re-entrant — concurrent run() calls from different
-// threads are fine (each spawns its own pool). The replication body runs
+// threads are fine (each runs its own pool). The replication body runs
 // concurrently with itself: it must confine writes to its own row and may
 // share only immutable state across replications.
 #pragma once
@@ -35,9 +35,6 @@ struct ExperimentOptions {
 
   /// Throws InvalidArgument on nonsensical settings.
   void validate() const;
-
-  /// `threads` with 0 resolved to the detected hardware concurrency.
-  std::size_t resolved_threads() const;
 };
 
 /// Aggregate of one metric across replications (normal-theory 95% CI from
@@ -80,11 +77,12 @@ class ExperimentRunner {
 
   const ExperimentOptions& options() const { return options_; }
 
-  /// Fans the body out over options().replications substreams. Replications
-  /// are claimed dynamically by the pool workers, but each writes only its
-  /// own row and the aggregation runs serially in row order, so the returned
+  /// Fans the body out over options().replications substreams through
+  /// ThreadPool::for_each. Each replication writes only its own row and the
+  /// aggregation runs serially in row order, so the returned
   /// ReplicatedResult is a pure function of (seed, replications, body).
-  /// Exceptions thrown by the body are rethrown here (first one wins).
+  /// When the body throws, the exception of the lowest failing replication
+  /// is rethrown here, whatever the thread count.
   ReplicatedResult run(const std::vector<std::string>& metric_names,
                        const ReplicationBody& body) const;
 

@@ -1,28 +1,17 @@
 #include "engine/parallel_search.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/mutex.hpp"
 #include "common/prng.hpp"
-#include "common/thread_annotations.hpp"
 #include "core/analysis_context.hpp"
 #include "core/pattern_store.hpp"
 #include "engine/stream_factory.hpp"
 #include "engine/thread_pool.hpp"
 
 namespace streamflow {
-
-std::size_t ParallelSearchOptions::resolved_threads() const {
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
 
 namespace {
 
@@ -40,8 +29,8 @@ Prng scenario_base_stream(std::uint64_t seed, std::size_t scenario,
 
 /// Materializes the start assignments of restarts 1..R-1, serially, before
 /// any worker runs — this is where thread count is decoupled from the
-/// random draws. `base` is consumed in restart order: exactly the draws the
-/// serial optimize_mapping makes.
+/// random draws. `base` is consumed in restart order, so restart k's start
+/// is a pure function of (seed, k).
 std::vector<StageAssignment> materialize_starts(const InstancePtr& instance,
                                                 std::size_t restarts,
                                                 Prng base) {
@@ -105,18 +94,12 @@ ParallelSearchResult assemble(const InstancePtr& instance,
   return result;
 }
 
-/// One whole portfolio run serially through a caller-provided context —
-/// the per-scenario body of the batch axis, and the threads == 1 path.
-std::vector<RestartResult> run_portfolio_serial(
-    const InstancePtr& instance, const MappingSearchOptions& search,
-    const std::vector<StageAssignment>& starts, AnalysisContext& context) {
-  const std::size_t restarts = starts.size() + 1;
-  std::vector<RestartResult> rows;
-  rows.reserve(restarts);
-  for (std::size_t k = 0; k < restarts; ++k) {
-    rows.push_back(run_restart(instance, search, k, starts, context));
-  }
-  return rows;
+/// One context per pool worker, each attached to the shared store.
+std::vector<AnalysisContext> worker_contexts(std::size_t workers,
+                                             PatternStore* store) {
+  std::vector<AnalysisContext> contexts(workers);
+  for (AnalysisContext& context : contexts) context.set_pattern_store(store);
+  return contexts;
 }
 
 /// Folds one leg's deltas into its island's trace row: counters accumulate,
@@ -152,36 +135,12 @@ void exchange_incumbents(std::vector<IslandState>& islands) {
   }
 }
 
-/// Stash of the first failure by the SMALLEST claimed index, so the error a
-/// caller sees does not depend on worker timing.
-class DeterministicErrorStash {
- public:
-  void offer(std::size_t index, std::exception_ptr error) SF_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (!error_ || index < index_) {
-      index_ = index;
-      error_ = std::move(error);
-    }
-  }
-  // Callers invoke this after the pool's round barrier, but taking the lock
-  // anyway keeps the guarded-access contract unconditional (and costs one
-  // uncontended acquisition per round).
-  void rethrow_if_any() const SF_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (error_) std::rethrow_exception(error_);
-  }
-
- private:
-  mutable Mutex mutex_;
-  std::size_t index_ SF_GUARDED_BY(mutex_) = 0;
-  std::exception_ptr error_ SF_GUARDED_BY(mutex_);
-};
-
 /// The SA/tabu island portfolio (see the ParallelSearchOptions island
-/// contract). Rounds alternate a parallel leg phase (islands claimed
-/// dynamically; every leg reads only its island, its substream, and a
-/// worker-private context) with the serial incumbent exchange, so the
-/// result is a pure function of (instance, search, islands, sync_rounds).
+/// contract). Rounds alternate a parallel leg phase (one for_each over the
+/// islands on one pool kept for the whole run; every leg reads only its
+/// island, its substream, and a worker-private context) with the serial
+/// incumbent exchange, so the result is a pure function of (instance,
+/// search, islands, sync_rounds).
 ParallelSearchResult run_island_portfolio(const InstancePtr& instance,
                                           const ParallelSearchOptions& options) {
   const MappingSearchOptions& search = options.search;
@@ -199,14 +158,17 @@ ParallelSearchResult run_island_portfolio(const InstancePtr& instance,
 
   std::vector<IslandState> isl(islands);
   std::vector<RestartResult> rows(islands);
-  AnalysisContext caller_context;
-  caller_context.set_pattern_store(options.pattern_store);
+  ThreadPool pool(std::min(resolve_threads(options.threads), islands));
+  // Warm across rounds; the calling thread is worker 0 and also runs the
+  // greedy seeding and the final polish through contexts[0].
+  std::vector<AnalysisContext> contexts =
+      worker_contexts(pool.size(), options.pattern_store);
 
   // Island 0 is seeded by the full greedy restart: the portfolio can never
   // end below the greedy baseline, and its construction score doubles as
   // greedy_throughput (trace row 0's start_score, like the greedy
   // portfolio's restart 0).
-  rows[0] = run_greedy_restart(instance, search, caller_context);
+  rows[0] = run_greedy_restart(instance, search, contexts[0]);
   isl[0].feasible = rows[0].feasible;
   isl[0].current = rows[0].assignment;
   isl[0].current_score = rows[0].score;
@@ -226,45 +188,14 @@ ParallelSearchResult run_island_portfolio(const InstancePtr& instance,
     }
   }
 
-  const std::size_t threads =
-      std::min<std::size_t>(options.resolved_threads(), islands);
-  if (threads <= 1) {
-    for (std::size_t round = 0; round < options.sync_rounds; ++round) {
-      for (std::size_t k = 0; k < islands; ++k) {
-        merge_leg(rows[k], run_island_leg(instance, isl[k], round, search,
-                                          prngs[k], caller_context));
-      }
-      exchange_incumbents(isl);
-    }
-  } else {
-    std::vector<AnalysisContext> contexts(threads);  // warm across rounds
-    for (AnalysisContext& context : contexts) {
-      context.set_pattern_store(options.pattern_store);
-    }
-    std::vector<RestartResult> legs(islands);
-    ThreadPool pool(threads);
-    for (std::size_t round = 0; round < options.sync_rounds; ++round) {
-      std::atomic<std::size_t> next{0};
-      DeterministicErrorStash errors;
-      for (std::size_t w = 0; w < threads; ++w) {
-        pool.submit([&, w] {
-          for (;;) {
-            const std::size_t k = next.fetch_add(1);
-            if (k >= islands) return;
-            try {
-              legs[k] = run_island_leg(instance, isl[k], round, search,
-                                       prngs[k], contexts[w]);
-            } catch (...) {
-              errors.offer(k, std::current_exception());
-            }
-          }
-        });
-      }
-      pool.wait();  // the round barrier
-      errors.rethrow_if_any();
-      for (std::size_t k = 0; k < islands; ++k) merge_leg(rows[k], legs[k]);
-      exchange_incumbents(isl);
-    }
+  std::vector<RestartResult> legs(islands);
+  for (std::size_t round = 0; round < options.sync_rounds; ++round) {
+    pool.for_each(islands, [&](std::size_t worker, std::size_t k) {
+      legs[k] = run_island_leg(instance, isl[k], round, search, prngs[k],
+                               contexts[worker]);
+    });
+    for (std::size_t k = 0; k < islands; ++k) merge_leg(rows[k], legs[k]);
+    exchange_incumbents(isl);
   }
 
   // Final polish: one local-search pass from the winning island's best (the
@@ -275,7 +206,7 @@ ParallelSearchResult run_island_portfolio(const InstancePtr& instance,
   const std::size_t winner = reduce_best(rows);
   if (rows[winner].feasible) {
     RestartResult polish = run_random_restart(instance, rows[winner].assignment,
-                                              search, caller_context);
+                                              search, contexts[0]);
     SF_ASSERT(polish.feasible, "winning island best failed to realize");
     rows[winner].score = polish.score;
     rows[winner].assignment = polish.assignment;
@@ -285,7 +216,7 @@ ParallelSearchResult run_island_portfolio(const InstancePtr& instance,
     rows[winner].moves_pruned_maxplus += polish.moves_pruned_maxplus;
     rows[winner].moves_solved += polish.moves_solved;
   }
-  return assemble(instance, search, std::move(rows), threads);
+  return assemble(instance, search, std::move(rows), pool.size());
 }
 
 }  // namespace
@@ -299,42 +230,18 @@ ParallelSearchResult parallel_optimize_mapping(
   const std::size_t restarts = std::max<std::size_t>(options.search.restarts, 1);
   const std::vector<StageAssignment> starts =
       materialize_starts(instance, restarts, Prng(options.search.seed));
-  const std::size_t threads =
-      std::min<std::size_t>(options.resolved_threads(), restarts);
-
+  ThreadPool pool(std::min(resolve_threads(options.threads), restarts));
+  // Each worker keeps one private context warm across the restarts it
+  // claims; restarts are cache-state independent, so which worker runs
+  // which restart never reaches a result.
+  std::vector<AnalysisContext> contexts =
+      worker_contexts(pool.size(), options.pattern_store);
   std::vector<RestartResult> rows(restarts);
-  if (threads <= 1) {
-    AnalysisContext context;
-    context.set_pattern_store(options.pattern_store);
-    rows = run_portfolio_serial(instance, options.search, starts, context);
-    return assemble(instance, options.search, std::move(rows), 1);
-  }
-
-  // Workers claim restart indices dynamically (the claim order is
-  // irrelevant: each restart writes only its own row and is cache-state
-  // independent) and keep one private AnalysisContext warm across every
-  // restart they claim.
-  std::atomic<std::size_t> next{0};
-  DeterministicErrorStash errors;
-  ThreadPool pool(threads);
-  for (std::size_t w = 0; w < threads; ++w) {
-    pool.submit([&] {
-      AnalysisContext context;
-      context.set_pattern_store(options.pattern_store);
-      for (;;) {
-        const std::size_t k = next.fetch_add(1);
-        if (k >= restarts) return;
-        try {
-          rows[k] = run_restart(instance, options.search, k, starts, context);
-        } catch (...) {
-          errors.offer(k, std::current_exception());
-        }
-      }
-    });
-  }
-  pool.wait();
-  errors.rethrow_if_any();
-  return assemble(instance, options.search, std::move(rows), threads);
+  pool.for_each(restarts, [&](std::size_t worker, std::size_t k) {
+    rows[k] =
+        run_restart(instance, options.search, k, starts, contexts[worker]);
+  });
+  return assemble(instance, options.search, std::move(rows), pool.size());
 }
 
 std::vector<ParallelSearchResult> parallel_optimize_batch(
@@ -352,54 +259,29 @@ std::vector<ParallelSearchResult> parallel_optimize_batch(
   }
   const std::size_t restarts = std::max<std::size_t>(options.search.restarts, 1);
 
-  auto run_scenario = [&](std::size_t j,
-                          AnalysisContext& context) -> ParallelSearchResult {
+  ThreadPool pool(std::min(resolve_threads(options.threads), instances.size()));
+  // Workers keep their context warm across the scenarios they claim.
+  std::vector<AnalysisContext> contexts =
+      worker_contexts(pool.size(), options.pattern_store);
+  // Scenario j runs its whole portfolio serially inside one worker and
+  // lands in slot j, whichever worker ran it.
+  std::vector<std::optional<ParallelSearchResult>> slots(instances.size());
+  pool.for_each(instances.size(), [&](std::size_t worker, std::size_t j) {
     const std::vector<StageAssignment> starts = materialize_starts(
         instances[j], restarts,
         scenario_base_stream(options.search.seed, j, options.scenario_streams));
-    std::vector<RestartResult> rows =
-        run_portfolio_serial(instances[j], options.search, starts, context);
+    std::vector<RestartResult> rows;
+    rows.reserve(restarts);
+    for (std::size_t k = 0; k < restarts; ++k) {
+      rows.push_back(run_restart(instances[j], options.search, k, starts,
+                                 contexts[worker]));
+    }
     // Each scenario runs inside one worker, so its own thread count is 1.
-    return assemble(instances[j], options.search, std::move(rows), 1);
-  };
-
-  const std::size_t threads =
-      std::min<std::size_t>(options.resolved_threads(), instances.size());
+    slots[j].emplace(
+        assemble(instances[j], options.search, std::move(rows), 1));
+  });
   std::vector<ParallelSearchResult> results;
   results.reserve(instances.size());
-
-  if (threads <= 1) {
-    AnalysisContext context;
-    context.set_pattern_store(options.pattern_store);
-    for (std::size_t j = 0; j < instances.size(); ++j) {
-      results.push_back(run_scenario(j, context));
-    }
-    return results;
-  }
-
-  // Scenario-level fan-out: rows land in per-scenario slots and are
-  // returned in scenario order regardless of which worker ran what.
-  std::vector<std::optional<ParallelSearchResult>> slots(instances.size());
-  std::atomic<std::size_t> next{0};
-  DeterministicErrorStash errors;
-  ThreadPool pool(threads);
-  for (std::size_t w = 0; w < threads; ++w) {
-    pool.submit([&] {
-      AnalysisContext context;  // warm across the scenarios this worker claims
-      context.set_pattern_store(options.pattern_store);
-      for (;;) {
-        const std::size_t j = next.fetch_add(1);
-        if (j >= slots.size()) return;
-        try {
-          slots[j].emplace(run_scenario(j, context));
-        } catch (...) {
-          errors.offer(j, std::current_exception());
-        }
-      }
-    });
-  }
-  pool.wait();
-  errors.rethrow_if_any();
   for (std::optional<ParallelSearchResult>& slot : slots) {
     results.push_back(std::move(*slot));
   }

@@ -1,22 +1,21 @@
-// Deterministic parallel mapping search: a portfolio of local-search
-// restarts fanned out over the engine thread pool.
+// Deterministic mapping search: a portfolio of local-search restarts fanned
+// out over the engine thread pool. This is the one search entry point —
+// with `threads = 1` it runs every restart on the calling thread.
 //
-// The serial optimize_mapping (core/heuristics.hpp) runs its R restarts one
-// after another on one core even though the restarts are independent: the
-// only state they share is the immutable problem instance, and the only
-// coupling is the PRNG stream the random starts are drawn from. This module
-// removes that coupling up front — every start assignment is materialized
-// serially before any worker runs — and then evaluates the restarts
-// concurrently, each worker owning a private AnalysisContext over the one
-// shared std::shared_ptr<const Instance>.
+// Restarts are independent: the only state they share is the immutable
+// problem instance, and the only coupling is the PRNG stream the random
+// starts are drawn from. This module removes that coupling up front — every
+// start assignment is materialized serially before any worker runs — and
+// then evaluates the restarts through ThreadPool::for_each, each worker
+// owning a private AnalysisContext over the one shared
+// std::shared_ptr<const Instance>.
 //
 // Determinism contract (the Bobpp-style guarantee, tested in
 // tests/test_parallel_search.cpp):
 //  * restart starts are drawn serially from one Prng(seed) in restart
-//    order — exactly the draws the serial optimize_mapping makes — so
-//    restart k's start is a pure function of (seed, k), never of thread
-//    count, worker identity, or claim order, and growing the portfolio
-//    never changes earlier restarts (the prefix property);
+//    order, so restart k's start is a pure function of (seed, k), never of
+//    thread count, worker identity, or claim order, and growing the
+//    portfolio never changes earlier restarts (the prefix property);
 //  * restart outcomes (score, final assignment, evaluation count, pattern
 //    requests) are cache-state independent, so it does not matter which
 //    warm worker context happens to run a restart (the AnalysisContext
@@ -26,13 +25,14 @@
 //    index.
 // Together these make ParallelSearchResult a pure function of
 // (instance, options.search): bit-identical for any `threads` value,
-// including 1, and equal to the serial optimize_mapping.
+// including 1, and equal to a serial fold of run_greedy_restart and
+// run_random_restart in restart order (core/heuristics.hpp).
 //
 // Thread-safety rules: the Instance is immutable and shared read-only
 // across all workers (no synchronization needed); an AnalysisContext is
 // single-thread — the pool gives each worker its own and never migrates a
-// running restart. The module itself spawns and joins its pool per call;
-// the entry points are re-entrant.
+// running restart. Each call runs its own pool (the island portfolio keeps
+// one across all its rounds); the entry points are re-entrant.
 #pragma once
 
 #include <cstdint>
@@ -46,11 +46,12 @@ class PatternStore;
 
 struct ParallelSearchOptions {
   /// Per-restart search options; `search.restarts` is the portfolio size R
-  /// (0 and 1 both mean the greedy restart only, as in the serial search)
-  /// and `search.seed` seeds the restart starts.
+  /// (0 and 1 both mean the greedy restart only) and `search.seed` seeds
+  /// the restart starts.
   MappingSearchOptions search;
-  /// Worker threads; 0 means std::thread::hardware_concurrency(). The
-  /// result does not depend on this value.
+  /// Worker threads, the calling thread included; 0 means
+  /// std::thread::hardware_concurrency(). The result does not depend on
+  /// this value.
   std::size_t threads = 0;
   /// Batch mode only: give scenario j an independent stream family by
   /// advancing the seed stream j long jumps (2^192 draws) before its
@@ -85,9 +86,6 @@ struct ParallelSearchOptions {
   std::size_t islands = 4;
   /// Synchronization rounds, i.e. legs per island (>= 1).
   std::size_t sync_rounds = 8;
-
-  /// `threads` with 0 resolved to the detected hardware concurrency.
-  std::size_t resolved_threads() const;
 };
 
 /// Result of one portfolio. All counters are thread-count invariant: they
@@ -104,14 +102,21 @@ struct ParallelSearchResult {
   std::size_t restarts = 0;
   /// Workers the pool ran with (min(resolved threads, restarts)).
   std::size_t threads_used = 0;
-  /// Objective evaluations summed across all restarts.
+  /// Objective evaluations summed across all restarts: every evaluation of
+  /// a feasible candidate, greedy construction included (committing an
+  /// already-evaluated move is not recounted).
   std::size_t evaluations = 0;
   /// Pattern solves requested (cache hits + misses) summed across restarts.
   std::size_t pattern_requests = 0;
-  /// Bound-screen accounting summed across restarts (see
-  /// MappingSearchResult; all zero under BoundPolicy::kNone).
+  /// Move probes skipped by the tier-1 cycle-time screen, summed across
+  /// restarts (0 under BoundPolicy::kNone). Pruned probes still count in
+  /// `evaluations`, so that counter is bit-equal to the unscreened
+  /// search's; moves_solved + moves_pruned_mct + moves_pruned_maxplus
+  /// equals the unscreened search's moves_solved (asserted in tests).
   std::size_t moves_pruned_mct = 0;
+  /// Move probes skipped by the tier-2 max-plus screen.
   std::size_t moves_pruned_maxplus = 0;
+  /// Move probes that survived the screens and paid the full solve.
   std::size_t moves_solved = 0;
   /// Per-restart outcomes in restart order (the determinism witness: this
   /// whole vector is bit-identical for any thread count). For an island
@@ -120,17 +125,19 @@ struct ParallelSearchResult {
   std::vector<RestartResult> trace;
 };
 
-/// Runs the portfolio over the thread pool. Requires a valid
-/// (instance, options.search) pair — validated up front, on the caller's
-/// thread. Exceptions thrown inside a restart are rethrown here; when
-/// several restarts fail, the lowest restart index wins (deterministic).
-/// Throws InvalidArgument when no restart reaches a feasible mapping.
+/// Runs the portfolio over the thread pool. Requires num_processors >=
+/// num_stages, and the Overlap model for the exponential objective —
+/// validated up front, on the caller's thread. Exceptions thrown inside a
+/// restart are rethrown here; when several restarts fail, the lowest
+/// restart index wins (deterministic). Throws InvalidArgument when no
+/// restart reaches a feasible mapping.
 ParallelSearchResult parallel_optimize_mapping(
     const InstancePtr& instance, const ParallelSearchOptions& options);
 
-/// The second parallel axis: one portfolio per scenario, scenarios
-/// dispatched across the pool (each scenario's restarts run serially inside
-/// the worker that claimed it) and results returned in scenario order.
+/// The second parallel axis: one portfolio per scenario, scenarios fanned
+/// out through ThreadPool::for_each (each scenario's restarts run serially
+/// inside the worker that claimed it) and results returned in scenario
+/// order.
 /// Workers keep their AnalysisContext warm across the scenarios they claim;
 /// results are nevertheless identical for any thread count because every
 /// per-scenario outcome is cache-state independent. With

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/json.hpp"
+#include "common/prng.hpp"
 #include "common/stats.hpp"
 #include "core/analysis_context.hpp"
 #include "core/analyzer.hpp"
@@ -113,6 +114,46 @@ InstancePtr completed_instance(const Mapping& mapping) {
   }
   Application application = mapping.application();
   return make_instance(std::move(application), std::move(platform));
+}
+
+/// The independent reference the portfolio is checked against: restart 0
+/// greedy, then restarts drawn from one Prng(seed), all serially through one
+/// context and folded in restart order with strict improvement.
+struct SerialFold {
+  double throughput = 0.0;
+  std::size_t evaluations = 0;
+  std::string mapping;
+};
+
+SerialFold serial_fold(const InstancePtr& instance,
+                       const MappingSearchOptions& options) {
+  AnalysisContext context;
+  Prng draws(options.seed);
+  RestartResult best = run_greedy_restart(instance, options, context);
+  std::size_t evaluations = best.evaluations;
+  for (std::size_t restart = 1; restart < options.restarts; ++restart) {
+    RestartResult row = run_random_restart(
+        instance,
+        draw_restart_assignment(instance->application, instance->platform,
+                                draws),
+        options, context);
+    evaluations += row.evaluations;
+    if (row.feasible && row.score > best.score) best = std::move(row);
+  }
+  const auto mapping =
+      realize_assignment(instance, best.assignment, options.max_paths);
+  if (!mapping) throw InvalidArgument("no restart reached a feasible mapping");
+  return {best.score, evaluations, mapping->to_string()};
+}
+
+/// The search the pruned-search check compares: the portfolio on the
+/// calling thread.
+ParallelSearchResult search_serially(const InstancePtr& instance,
+                                     const MappingSearchOptions& options) {
+  ParallelSearchOptions portfolio;
+  portfolio.search = options;
+  portfolio.threads = 1;
+  return parallel_optimize_mapping(instance, portfolio);
 }
 
 }  // namespace
@@ -281,7 +322,7 @@ ScenarioVerdict check_scenario(const Scenario& scenario,
     CheckResult& check = verdict.checks[3];
     std::string failure;
 
-    // (a) Serial search == parallel portfolio, bit for bit.
+    // (a) Serial restart fold == parallel portfolio, bit for bit.
     MappingSearchOptions search;
     search.model = model;
     search.objective = model == ExecutionModel::kStrict
@@ -304,10 +345,10 @@ ScenarioVerdict check_scenario(const Scenario& scenario,
                   " != parallel portfolio score " + fmt(parallel.throughput);
       }
     } else {
-      const MappingSearchResult serial = optimize_mapping(searchable, search);
+      const SerialFold serial = serial_fold(searchable, search);
       if (serial.throughput != parallel.throughput ||
           serial.evaluations != parallel.evaluations ||
-          serial.mapping.to_string() != parallel.mapping.to_string()) {
+          serial.mapping != parallel.mapping.to_string()) {
         failure = "serial search (score " + fmt(serial.throughput) + ", " +
                   std::to_string(serial.evaluations) +
                   " evaluations) != parallel portfolio (score " +
@@ -357,7 +398,7 @@ ScenarioVerdict check_scenario(const Scenario& scenario,
     search.max_paths = options.corpus.max_paths;
     search.seed = 1;
     const InstancePtr searchable = completed_instance(mapping);
-    const MappingSearchResult reference = optimize_mapping(searchable, search);
+    const ParallelSearchResult reference = search_serially(searchable, search);
     std::string failure;
     for (const BoundPolicy policy :
          {BoundPolicy::kMct, BoundPolicy::kMctMaxplus}) {
@@ -374,7 +415,7 @@ ScenarioVerdict check_scenario(const Scenario& scenario,
         }
         continue;
       }
-      const MappingSearchResult pruned = optimize_mapping(searchable, screened);
+      const ParallelSearchResult pruned = search_serially(searchable, screened);
       if (pruned.throughput != reference.throughput ||
           pruned.evaluations != reference.evaluations ||
           pruned.mapping.to_string() != reference.mapping.to_string()) {

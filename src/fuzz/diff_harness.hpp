@@ -13,7 +13,8 @@
 //                    deterministic) bounds the measured throughput from
 //                    above for EVERY law (the daters are convex in the
 //                    timings, so deterministic means maximize throughput);
-//   kDeterminism   — serial optimize_mapping equals the parallel portfolio
+//   kDeterminism   — a serial fold of run_greedy_restart/run_random_restart
+//                    in restart order equals the parallel portfolio
 //                    bit-for-bit, and the replicated simulator is
 //                    bit-identical across thread counts;
 //   kPrunedSearch  — the bound-screened search (BoundPolicy::kMct and
@@ -98,14 +99,15 @@ struct HarnessHooks {
   /// formed (default: identity). The mutation tests skew this to push the
   /// simulation out of the analytic bounds.
   std::function<double(double)> sim_throughput_transform;
-  /// Serial search score the portfolio is compared against (default:
-  /// optimize_mapping(instance, options).throughput). Receives the
+  /// Serial search score the portfolio is compared against (default: a
+  /// serial fold of run_greedy_restart/run_random_restart in restart order,
+  /// with starts drawn from one Prng(options.seed)). Receives the
   /// bandwidth-completed copy of the scenario's instance that the
   /// determinism check searches (unset links go infeasible otherwise).
   std::function<double(const InstancePtr&, const MappingSearchOptions&)>
       serial_search_score;
   /// Bound-screened search score the unscreened search is compared against
-  /// (default: optimize_mapping(instance, options).throughput with
+  /// (default: parallel_optimize_mapping at threads = 1, with
   /// options.bounds already set to the screened policy under test). The
   /// mutation test skews this by one ulp to prove the bit-equality check
   /// catches an off-by-one-ulp bound comparison.

@@ -8,9 +8,9 @@
 #include <cstring>
 #include <exception>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,6 +20,7 @@
 #include "core/heuristics.hpp"
 #include "core/pattern_store.hpp"
 #include "dist/distribution.hpp"
+#include "engine/parallel_search.hpp"
 #include "engine/sim_replication.hpp"
 #include "engine/thread_pool.hpp"
 #include "maxplus/deterministic.hpp"
@@ -112,7 +113,16 @@ JsonWriter handle_search(FlatRequest& request, const ServeOptions& options) {
   }
   search.restarts = request.take_u64_or("restarts", search.restarts);
   search.seed = request.take_u64_or("seed", search.seed);
-  search.max_paths = request.take_u64_or("max_paths", search.max_paths);
+  const std::uint64_t max_paths = request.take_u64_or(
+      "max_paths", static_cast<std::uint64_t>(search.max_paths));
+  if (max_paths > static_cast<std::uint64_t>(
+                      std::numeric_limits<std::int64_t>::max())) {
+    throw InvalidArgument("field \"max_paths\" must be at most " +
+                          std::to_string(
+                              std::numeric_limits<std::int64_t>::max()) +
+                          " (got " + std::to_string(max_paths) + ")");
+  }
+  search.max_paths = static_cast<std::int64_t>(max_paths);
   const std::string prune = request.take_string_or("prune", "none");
   if (prune == "mct") {
     search.bounds = BoundPolicy::kMct;
@@ -124,17 +134,20 @@ JsonWriter handle_search(FlatRequest& request, const ServeOptions& options) {
   }
   request.expect_exhausted();
 
-  AnalysisContext context;
-  context.set_pattern_store(options.store);
-  const MappingSearchResult best =
-      optimize_mapping(mapping.instance(), search, context);
+  // Serve parallelism is across requests: one search runs on the worker
+  // that handles it. The result is thread-count invariant anyway.
+  ParallelSearchOptions portfolio;
+  portfolio.search = search;
+  portfolio.threads = 1;
+  portfolio.pattern_store = options.store;
+  const ParallelSearchResult best =
+      parallel_optimize_mapping(mapping.instance(), portfolio);
 
   JsonWriter result;
   result.string_field("instance", instance_to_string(best.mapping));
   result.number_field("throughput", best.throughput);
   result.integer_field("evaluations", best.evaluations);
-  result.integer_field("pattern_requests",
-                       best.pattern_cache_hits + best.pattern_cache_misses);
+  result.integer_field("pattern_requests", best.pattern_requests);
   return result;
 }
 
@@ -194,12 +207,6 @@ std::string wrap_error(const std::string& id_json, const std::string& what) {
   return response.str();
 }
 
-std::size_t resolved_serve_threads(const ServeOptions& options) {
-  if (options.threads != 0) return options.threads;
-  const std::size_t detected = std::thread::hardware_concurrency();
-  return detected == 0 ? 1 : detected;
-}
-
 }  // namespace
 
 HandledRequest handle_request(const std::string& line,
@@ -243,7 +250,7 @@ HandledRequest handle_request(const std::string& line,
 ServeResult run_serve_loop(std::istream& in, std::ostream& out,
                            const ServeOptions& options) {
   SF_REQUIRE(options.max_batch >= 1, "serve: max_batch must be >= 1");
-  ThreadPool pool(resolved_serve_threads(options));
+  ThreadPool pool(resolve_threads(options.threads));  // one for the session
   ServeResult totals;
 #ifndef NDEBUG
   // The determinism witness: response bytes memoized per distinct request
@@ -263,21 +270,11 @@ ServeResult run_serve_loop(std::istream& in, std::ostream& out,
     }
     if (batch.empty()) continue;
 
+    // Request i writes only slot i; handle_request never throws.
     std::vector<HandledRequest> handled(batch.size());
-    if (batch.size() == 1 || pool.size() == 1) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        handled[i] = handle_request(batch[i], options);
-      }
-    } else {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        // Each task owns slot i exclusively; handle_request never throws.
-        pool.submit(
-            [&handled, &batch, &options, i] {
-              handled[i] = handle_request(batch[i], options);
-            });
-      }
-      pool.wait();
-    }
+    pool.for_each(batch.size(), [&](std::size_t, std::size_t i) {
+      handled[i] = handle_request(batch[i], options);
+    });
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
 #ifndef NDEBUG

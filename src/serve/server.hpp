@@ -2,8 +2,9 @@
 //
 // The loop reads line-delimited JSON requests (serve/protocol.hpp) from an
 // istream, batches whatever input has already arrived (up to
-// ServeOptions::max_batch lines per batch), evaluates the batch on the
-// engine ThreadPool — one worker-private AnalysisContext per request, every
+// ServeOptions::max_batch lines per batch), evaluates the batch through
+// ThreadPool::for_each on one pool kept for the whole session (the loop
+// thread is one of its workers) — one AnalysisContext per request, every
 // context attached to the shared PatternStore — and writes one response
 // line per request, in request order, before reading more input. Socket
 // mode (run_serve_socket) adapts an AF_UNIX connection onto the same loop
@@ -35,9 +36,9 @@ namespace streamflow {
 class PatternStore;
 
 struct ServeOptions {
-  /// Worker threads for batch evaluation; 0 means
-  /// std::thread::hardware_concurrency(). Response bytes never depend on
-  /// this value.
+  /// Worker threads for batch evaluation, the loop thread included; 0
+  /// means std::thread::hardware_concurrency(). Response bytes never depend
+  /// on this value.
   std::size_t threads = 0;
   /// Max requests evaluated per batch (>= 1). Responses never depend on
   /// batch boundaries either; this only bounds latency under pipelining.

@@ -3,17 +3,24 @@
 // The contract under test: ExperimentRunner output is a pure function of
 // (seed, replications, body) — bit-identical for any thread count, equal to
 // a hand-rolled serial loop over the same substreams, with CI half-widths
-// shrinking like 1/sqrt(R).
+// shrinking like 1/sqrt(R). Underneath, ThreadPool::for_each runs every
+// index once and reports the lowest failing index's exception.
 #include "engine/experiment_runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
-#include "core/analysis_context.hpp"
 #include "core/heuristics.hpp"
+#include "engine/parallel_search.hpp"
 #include "engine/sim_replication.hpp"
 #include "engine/stream_factory.hpp"
+#include "engine/thread_pool.hpp"
 #include "test_helpers.hpp"
 #include "tpn/builder.hpp"
 
@@ -187,11 +194,13 @@ TEST(ExperimentRunner, ReplicatedSearchSharesOneInstanceAcrossThreads) {
 
   auto search_body = [&](Prng& prng, std::size_t) -> std::vector<double> {
     // Each replication searches with its own seed (drawn from its
-    // substream) but reads the shared instance concurrently.
-    MappingSearchOptions local = options;
-    local.seed = prng();
-    AnalysisContext context;  // per-replication context, shared instance
-    const auto result = optimize_mapping(instance, local, context);
+    // substream) on its own thread, with its own contexts, but reads the
+    // shared instance concurrently.
+    ParallelSearchOptions local;
+    local.search = options;
+    local.search.seed = prng();
+    local.threads = 1;
+    const auto result = parallel_optimize_mapping(instance, local);
     SF_ASSERT(result.mapping.instance().get() == instance.get(),
               "search copied the shared instance");
     return {result.throughput, static_cast<double>(result.evaluations)};
@@ -230,13 +239,92 @@ TEST(ExperimentRunner, Validation) {
 }
 
 TEST(ExperimentRunner, WorkerExceptionsPropagateToCaller) {
-  ExperimentRunner runner(experiment(8, 4));
-  EXPECT_THROW(runner.run({"x"},
-                          [](Prng& prng, std::size_t k) -> std::vector<double> {
-                            if (k == 5) throw NumericalError("boom in worker");
-                            return {prng.uniform01()};
-                          }),
-               NumericalError);
+  // Two replications fail with different messages, the lower one after a
+  // delay, so on several threads replication 6 usually fails first in
+  // time. Whatever the thread count, the caller sees replication 1's error
+  // — the one a serial loop would throw.
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      ExperimentRunner runner(experiment(8, threads));
+      try {
+        runner.run({"x"}, [](Prng& prng, std::size_t k) -> std::vector<double> {
+          if (k == 1) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            throw NumericalError("boom in replication 1");
+          }
+          if (k == 6) throw NumericalError("boom in replication 6");
+          return {prng.uniform01()};
+        });
+        ADD_FAILURE() << "no exception with " << threads << " threads";
+      } catch (const NumericalError& error) {
+        EXPECT_STREQ(error.what(), "boom in replication 1")
+            << threads << " threads, repeat " << repeat;
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, ForEachRunsEveryIndexOnceOnAValidWorker) {
+  constexpr std::size_t kCount = 37;
+  for (const std::size_t size : {1, 2, 4, 8}) {
+    ThreadPool pool(size);
+    ASSERT_EQ(pool.size(), size);
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      // Each index writes only its own slot, so the slots need no lock.
+      std::vector<std::size_t> runs(kCount, 0);
+      std::vector<std::size_t> workers(kCount, 0);
+      pool.for_each(kCount, [&](std::size_t worker, std::size_t k) {
+        ++runs[k];
+        workers[k] = worker;
+      });
+      for (std::size_t k = 0; k < kCount; ++k) {
+        EXPECT_EQ(runs[k], 1u) << "size " << size << ", index " << k;
+        EXPECT_LT(workers[k], size) << "size " << size << ", index " << k;
+      }
+    }
+    // Degenerate counts run nothing, or the single index on the caller.
+    pool.for_each(0, [](std::size_t, std::size_t) {
+      ADD_FAILURE() << "body ran for count 0";
+    });
+    std::size_t single_worker = size;
+    pool.for_each(1, [&](std::size_t worker, std::size_t k) {
+      EXPECT_EQ(k, 0u);
+      single_worker = worker;
+    });
+    EXPECT_EQ(single_worker, 0u);
+  }
+}
+
+TEST(ThreadPool, ForEachRethrowsTheLowestFailingIndex) {
+  // Index 11 fails at once, index 3 only after a delay, so on a multi-worker
+  // pool index 11 usually fails first in time; index 3's error must still
+  // be the one rethrown. The pool stays usable afterwards.
+  for (const std::size_t size : {1, 2, 4, 8}) {
+    ThreadPool pool(size);
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      try {
+        pool.for_each(16, [](std::size_t, std::size_t k) {
+          if (k == 3) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            throw std::runtime_error("index 3");
+          }
+          if (k == 11) throw std::runtime_error("index 11");
+        });
+        ADD_FAILURE() << "no exception at size " << size;
+      } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "index 3")
+            << "size " << size << ", repeat " << repeat;
+      }
+      std::vector<int> ran(16, 0);
+      pool.for_each(16, [&](std::size_t, std::size_t k) { ran[k] = 1; });
+      EXPECT_EQ(ran, std::vector<int>(16, 1)) << "size " << size;
+    }
+  }
+}
+
+TEST(ThreadPool, ResolveThreads) {
+  EXPECT_EQ(resolve_threads(3), 3u);
+  EXPECT_GE(resolve_threads(0), 1u);
 }
 
 TEST(ExperimentRunner, InvalidSimOptionsFailBeforeFanOut) {

@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "core/analyzer.hpp"
+#include "engine/parallel_search.hpp"
 #include "fuzz/minimize.hpp"
 
 namespace streamflow {
@@ -25,6 +26,17 @@ HarnessOptions fast_options() {
   options.replications = 4;
   options.data_sets = 1500;
   return options;
+}
+
+/// The true search score, one ulp up: the literal off-by-epsilon fault.
+double one_ulp_above_search(const InstancePtr& instance,
+                            const MappingSearchOptions& search) {
+  ParallelSearchOptions portfolio;
+  portfolio.search = search;
+  portfolio.threads = 1;
+  const double score =
+      parallel_optimize_mapping(instance, portfolio).throughput;
+  return std::nextafter(score, 2.0 * score + 1.0);
 }
 
 TEST(FuzzHarness, AllChecksPassWithHonestEvaluators) {
@@ -118,11 +130,7 @@ TEST(FuzzHarness, DeterminismCheckDetectsOneUlpDrift) {
   const Scenario scenario = draw_scenario(options.corpus, 0);
   HarnessHooks hooks;
   // The literal off-by-epsilon: one ulp above the true serial score.
-  hooks.serial_search_score = [](const InstancePtr& instance,
-                                 const MappingSearchOptions& search) {
-    const double score = optimize_mapping(instance, search).throughput;
-    return std::nextafter(score, 2.0 * score + 1.0);
-  };
+  hooks.serial_search_score = one_ulp_above_search;
   EXPECT_TRUE(
       check_fails(scenario, CheckId::kDeterminism, options, hooks));
   EXPECT_FALSE(check_fails(scenario, CheckId::kDeterminism, options, {}));
@@ -137,11 +145,7 @@ TEST(FuzzHarness, PrunedSearchCheckDetectsOneUlpBoundSkew) {
   // The literal off-by-one-ulp fault a sloppy bound comparison produces:
   // the screened search's score drifts one ulp above the true score (as it
   // would if a screen pruned the winning move on a boundary tie).
-  hooks.pruned_search_score = [](const InstancePtr& instance,
-                                 const MappingSearchOptions& search) {
-    const double score = optimize_mapping(instance, search).throughput;
-    return std::nextafter(score, 2.0 * score + 1.0);
-  };
+  hooks.pruned_search_score = one_ulp_above_search;
   EXPECT_TRUE(check_fails(scenario, CheckId::kPrunedSearch, options, hooks));
   // The real screened searches are bit-identical on the same scenario.
   EXPECT_FALSE(check_fails(scenario, CheckId::kPrunedSearch, options, {}));

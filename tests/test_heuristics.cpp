@@ -8,14 +8,33 @@
 #include "common/stats.hpp"
 #include "core/analysis_context.hpp"
 #include "core/analyzer.hpp"
+#include "core/pattern_store.hpp"
+#include "engine/parallel_search.hpp"
 #include "model/random_instance.hpp"
 #include "test_helpers.hpp"
 
 namespace streamflow {
 namespace {
 
-void expect_same_result(const MappingSearchResult& a,
-                        const MappingSearchResult& b) {
+/// The search entry point, run on the calling thread.
+ParallelSearchResult search(const InstancePtr& instance,
+                            const MappingSearchOptions& options,
+                            PatternStore* store = nullptr) {
+  ParallelSearchOptions portfolio;
+  portfolio.search = options;
+  portfolio.threads = 1;
+  portfolio.pattern_store = store;
+  return parallel_optimize_mapping(instance, portfolio);
+}
+
+ParallelSearchResult search(const Application& app, const Platform& platform,
+                            const MappingSearchOptions& options = {},
+                            PatternStore* store = nullptr) {
+  return search(make_instance(app, platform), options, store);
+}
+
+void expect_same_result(const ParallelSearchResult& a,
+                        const ParallelSearchResult& b) {
   ASSERT_EQ(a.mapping.num_stages(), b.mapping.num_stages());
   for (std::size_t i = 0; i < a.mapping.num_stages(); ++i) {
     EXPECT_EQ(a.mapping.team(i), b.mapping.team(i));
@@ -31,7 +50,7 @@ TEST(Heuristics, TrivialInstanceAssignsEverything) {
   Platform platform = Platform::fully_connected({1.0, 2.0}, 10.0);
   MappingSearchOptions options;
   options.objective = MappingObjective::kDeterministic;
-  const auto result = optimize_mapping(app, platform, options);
+  const auto result = search(app, platform, options);
   EXPECT_EQ(result.mapping.replication(0), 1u);
   EXPECT_EQ(result.mapping.replication(1), 1u);
   // The heavy stage (T2, w=2) should get the fast processor (P1, s=2):
@@ -49,7 +68,7 @@ TEST(Heuristics, ReplicatesTheBottleneckStage) {
   MappingSearchOptions options;
   options.objective = MappingObjective::kExponential;
   options.restarts = 2;
-  const auto result = optimize_mapping(app, platform, options);
+  const auto result = search(app, platform, options);
   EXPECT_GE(result.mapping.replication(1), 3u);
   EXPECT_GE(result.throughput, result.greedy_throughput * 0.999);
 }
@@ -63,7 +82,7 @@ TEST(Heuristics, LeavesStragglersOutWhenAllowed) {
   MappingSearchOptions options;
   options.objective = MappingObjective::kDeterministic;
   options.restarts = 3;
-  const auto result = optimize_mapping(app, platform, options);
+  const auto result = search(app, platform, options);
   EXPECT_EQ(result.mapping.stage_of(3), Mapping::kUnused);
 }
 
@@ -77,7 +96,7 @@ TEST(Heuristics, BeatsOrMatchesRandomMappings) {
   MappingSearchOptions options;
   options.objective = MappingObjective::kExponential;
   options.restarts = 3;
-  const auto result = optimize_mapping(app, platform, options);
+  const auto result = search(app, platform, options);
 
   RandomInstanceOptions random_options;
   random_options.num_stages = 3;
@@ -111,7 +130,7 @@ TEST(Heuristics, DeterministicObjectiveWorksForStrict) {
   options.model = ExecutionModel::kStrict;
   options.objective = MappingObjective::kDeterministic;
   options.restarts = 2;
-  const auto result = optimize_mapping(app, platform, options);
+  const auto result = search(app, platform, options);
   EXPECT_GT(result.throughput, 0.0);
   EXPECT_GE(result.mapping.replication(1), 2u);  // heavy stage replicated
 }
@@ -119,14 +138,19 @@ TEST(Heuristics, DeterministicObjectiveWorksForStrict) {
 TEST(Heuristics, Validation) {
   Application app({1.0, 1.0, 1.0}, {1.0, 1.0});
   Platform platform = Platform::fully_connected({1.0, 1.0}, 1.0);
-  EXPECT_THROW(optimize_mapping(app, platform), InvalidArgument);
+  EXPECT_THROW(search(app, platform), InvalidArgument);
 
   Application app2({1.0}, {});
   Platform platform2({1.0});
   MappingSearchOptions bad;
   bad.model = ExecutionModel::kStrict;
   bad.objective = MappingObjective::kExponential;
-  EXPECT_THROW(optimize_mapping(app2, platform2, bad), InvalidArgument);
+  EXPECT_THROW(search(app2, platform2, bad), InvalidArgument);
+
+  // max_paths below 1 admits no mapping at all: rejected up front.
+  MappingSearchOptions no_paths;
+  no_paths.max_paths = 0;
+  EXPECT_THROW(search(app2, platform2, no_paths), InvalidArgument);
 }
 
 TEST(Heuristics, RestartsZeroMatchesRestartsOne) {
@@ -139,9 +163,9 @@ TEST(Heuristics, RestartsZeroMatchesRestartsOne) {
   options.objective = MappingObjective::kExponential;
   options.seed = 11;
   options.restarts = 0;
-  const auto zero = optimize_mapping(app, platform, options);
+  const auto zero = search(app, platform, options);
   options.restarts = 1;
-  const auto one = optimize_mapping(app, platform, options);
+  const auto one = search(app, platform, options);
   expect_same_result(zero, one);
   EXPECT_GT(zero.throughput, 0.0);
   EXPECT_GE(zero.throughput, zero.greedy_throughput);
@@ -161,7 +185,7 @@ TEST(Heuristics, EvaluationAccountingIsExact) {
   options.allow_unused_processors = false;
   options.max_sweeps = 0;
   options.restarts = 1;
-  const auto result = optimize_mapping(app, platform, options);
+  const auto result = search(app, platform, options);
   const std::size_t m = 5, n = 2;
   EXPECT_EQ(result.evaluations, 1 + (m - n) * (n + 1));
   // No sweeps ran: the result is exactly the greedy construction.
@@ -170,9 +194,9 @@ TEST(Heuristics, EvaluationAccountingIsExact) {
 
 TEST(Heuristics, WarmCacheDoesNotChangeTheResult) {
   // The search trajectory must be independent of the cache state: a shared
-  // context warmed by a previous identical search returns the identical
+  // store warmed by a previous identical search returns the identical
   // mapping, scores, and evaluation count — with all pattern solves served
-  // from the cache.
+  // from the store.
   Application app({2.0, 8.0, 3.0}, {1.0, 1.0});
   Platform platform = Platform::fully_connected(
       {1.0, 1.5, 2.0, 0.8, 1.2, 2.5, 0.9}, 4.0);
@@ -187,16 +211,18 @@ TEST(Heuristics, WarmCacheDoesNotChangeTheResult) {
   options.restarts = 3;
   options.seed = 42;
 
-  const auto cold = optimize_mapping(app, platform, options);
-  AnalysisContext shared;
-  const auto first = optimize_mapping(app, platform, options, shared);
-  const auto warm = optimize_mapping(app, platform, options, shared);
+  const auto cold = search(app, platform, options);
+  PatternStore shared;
+  const auto first = search(app, platform, options, &shared);
+  const PatternStoreStats after_first = shared.stats();
+  const auto warm = search(app, platform, options, &shared);
+  const PatternStoreStats after_warm = shared.stats();
 
   expect_same_result(cold, first);
   expect_same_result(cold, warm);
-  EXPECT_GT(first.pattern_cache_misses, 0u);
-  EXPECT_EQ(warm.pattern_cache_misses, 0u);  // fully warm
-  EXPECT_GT(warm.pattern_cache_hits, 0u);
+  EXPECT_GT(after_first.misses, 0u);
+  EXPECT_EQ(after_warm.misses, after_first.misses);  // fully warm
+  EXPECT_GT(after_warm.hits, after_first.hits);
 }
 
 TEST(Heuristics, InstanceIsSharedNotCopiedAcrossAWholeSearch) {
@@ -217,25 +243,26 @@ TEST(Heuristics, InstanceIsSharedNotCopiedAcrossAWholeSearch) {
   options.restarts = 3;
 
   {
-    // Throwaway-context overload: after it returns, the only handles left
-    // are ours and the result mapping's.
-    const auto result = optimize_mapping(instance, options);
+    // The whole search: after it returns, the only handles left are ours
+    // and the result mapping's.
+    const auto result = search(instance, options);
     EXPECT_EQ(result.mapping.instance().get(), instance.get());
     EXPECT_EQ(instance.use_count(), 2);
   }
   EXPECT_EQ(instance.use_count(), 1);
 
-  // Shared-context overload: exactly two more handles live inside the
-  // context — the pinned base mapping and the pending scratch candidate of
-  // the last (uncommitted) evaluate_move probe. Still the same allocation:
-  // handles are O(1) copies of the pointer, never of the payload.
+  // One restart through a caller's context: exactly two handles live inside
+  // the context — the pinned base mapping and the pending scratch candidate
+  // of the last (uncommitted) evaluate_move probe. Still the same
+  // allocation: handles are O(1) copies of the pointer, never of the
+  // payload.
   AnalysisContext context;
-  const auto result = optimize_mapping(instance, options, context);
-  EXPECT_EQ(result.mapping.instance().get(), instance.get());
+  const RestartResult restart = run_greedy_restart(instance, options, context);
+  EXPECT_TRUE(restart.feasible);
   EXPECT_EQ(context.base_mapping().instance().get(), instance.get());
-  EXPECT_EQ(instance.use_count(), 4);
+  EXPECT_EQ(instance.use_count(), 3);
   context.clear();
-  EXPECT_EQ(instance.use_count(), 2);  // ours + the result mapping's
+  EXPECT_EQ(instance.use_count(), 1);
 }
 
 TEST(Heuristics, PinnedScoresMatchThePreSharingImplementation) {
@@ -259,7 +286,7 @@ TEST(Heuristics, PinnedScoresMatchThePreSharingImplementation) {
   for (const MappingObjective objective :
        {MappingObjective::kExponential, MappingObjective::kDeterministic}) {
     options.objective = objective;
-    const auto result = optimize_mapping(app, platform, options);
+    const auto result = search(app, platform, options);
     EXPECT_EQ(result.throughput, 0.65000000000000002);
     EXPECT_EQ(result.greedy_throughput, 0.3125);
     EXPECT_EQ(result.evaluations, 238u);
@@ -275,10 +302,9 @@ TEST(Heuristics, ReportsCacheStatsPerObjective) {
   MappingSearchOptions options;
   options.restarts = 2;
   options.objective = MappingObjective::kDeterministic;
-  const auto det = optimize_mapping(app, platform, options);
+  const auto det = search(app, platform, options);
   // The deterministic objective never touches the pattern cache.
-  EXPECT_EQ(det.pattern_cache_hits, 0u);
-  EXPECT_EQ(det.pattern_cache_misses, 0u);
+  EXPECT_EQ(det.pattern_requests, 0u);
   EXPECT_GT(det.evaluations, 0u);
 }
 
@@ -386,7 +412,7 @@ TEST(Heuristics, ScreenedSearchIsBitIdenticalWithExactAccounting) {
        {MappingObjective::kExponential, MappingObjective::kDeterministic}) {
     options.objective = objective;
     options.bounds = BoundPolicy::kNone;
-    const auto reference = optimize_mapping(app, platform, options);
+    const auto reference = search(app, platform, options);
     EXPECT_EQ(reference.throughput, 0.65000000000000002);
     EXPECT_EQ(reference.moves_pruned_mct, 0u);
     EXPECT_EQ(reference.moves_pruned_maxplus, 0u);
@@ -394,7 +420,7 @@ TEST(Heuristics, ScreenedSearchIsBitIdenticalWithExactAccounting) {
     for (const BoundPolicy policy :
          {BoundPolicy::kMct, BoundPolicy::kMctMaxplus}) {
       options.bounds = policy;
-      const auto screened = optimize_mapping(app, platform, options);
+      const auto screened = search(app, platform, options);
       expect_same_result(reference, screened);
       EXPECT_EQ(screened.mapping.to_string(), reference.mapping.to_string());
       EXPECT_EQ(screened.moves_solved + screened.moves_pruned_mct +
@@ -417,7 +443,7 @@ TEST(Heuristics, RespectsMaxPathsConstraint) {
   options.objective = MappingObjective::kDeterministic;
   options.max_paths = 12;
   options.restarts = 2;
-  const auto result = optimize_mapping(app, platform, options);
+  const auto result = search(app, platform, options);
   EXPECT_LE(result.mapping.num_paths(), 12);
 }
 

@@ -290,33 +290,34 @@ TEST(PatternStoreContext, StaleStoreEntryIsDetected) {
 // ---- Warm-store search bit-identity ----------------------------------------
 
 TEST(PatternStoreSearch, WarmStoreSearchIsBitIdentical) {
+  // One greedy restart (construction plus local search) through a private
+  // context, then through contexts attached to a cold and a warm store.
   const Mapping mapping = heterogeneous_mapping();
   MappingSearchOptions search;
-  search.restarts = 2;
   search.seed = 7;
 
-  const MappingSearchResult baseline =
-      optimize_mapping(mapping.instance(), search);
+  AnalysisContext private_only;
+  const RestartResult baseline =
+      run_greedy_restart(mapping.instance(), search, private_only);
 
   PatternStore store(4);
   AnalysisContext cold;
   cold.set_pattern_store(&store);
-  const MappingSearchResult via_cold_store =
-      optimize_mapping(mapping.instance(), search, cold);
+  const RestartResult via_cold_store =
+      run_greedy_restart(mapping.instance(), search, cold);
   EXPECT_GT(store.size(), 0u);
 
   AnalysisContext warm;
   warm.set_pattern_store(&store);
-  const MappingSearchResult via_warm_store =
-      optimize_mapping(mapping.instance(), search, warm);
+  const RestartResult via_warm_store =
+      run_greedy_restart(mapping.instance(), search, warm);
   EXPECT_GT(warm.stats().store_hits, 0u);
 
-  for (const MappingSearchResult* result : {&via_cold_store, &via_warm_store}) {
-    EXPECT_EQ(result->throughput, baseline.throughput);
+  for (const RestartResult* result : {&via_cold_store, &via_warm_store}) {
+    EXPECT_EQ(result->score, baseline.score);
     EXPECT_EQ(result->evaluations, baseline.evaluations);
-    EXPECT_EQ(result->mapping.to_string(), baseline.mapping.to_string());
-    EXPECT_EQ(result->pattern_cache_hits + result->pattern_cache_misses,
-              baseline.pattern_cache_hits + baseline.pattern_cache_misses);
+    EXPECT_EQ(result->assignment, baseline.assignment);
+    EXPECT_EQ(result->pattern_requests, baseline.pattern_requests);
   }
 }
 

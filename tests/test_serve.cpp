@@ -137,6 +137,17 @@ TEST(Serve, MalformedRequestsAreRejectedWithDiagnostics) {
       {"bad model",
        "{\"op\":\"analyze\",\"model\":\"fast\"," + instance_field,
        "must be "},
+      {"zero max_paths",
+       "{\"op\":\"search\",\"max_paths\":0," + instance_field,
+       "max_paths must be at least 1"},
+      {"max_paths above INT64_MAX",
+       "{\"op\":\"search\",\"max_paths\":9223372036854775808," +
+           instance_field,
+       "max_paths\\\" must be at most 9223372036854775807"},
+      {"max_paths at UINT64_MAX",
+       "{\"op\":\"search\",\"max_paths\":18446744073709551615," +
+           instance_field,
+       "max_paths\\\" must be at most 9223372036854775807"},
   };
   for (const Case& test_case : cases) {
     const HandledRequest handled = handle_request(test_case.line, options);
@@ -155,8 +166,8 @@ TEST(Serve, MalformedRequestsAreRejectedWithDiagnostics) {
   std::istringstream in(stream_text.str());
   std::ostringstream out;
   const ServeResult result = run_serve_loop(in, out, options);
-  EXPECT_EQ(result.requests, 9u);
-  EXPECT_EQ(result.errors, 8u);
+  EXPECT_EQ(result.requests, 12u);
+  EXPECT_EQ(result.errors, 11u);
   EXPECT_FALSE(result.shutdown_requested);
   EXPECT_NE(out.str().find("{\"id\":99,\"ok\":true,\"result\":{\"pong\":true}}"),
             std::string::npos);

@@ -20,6 +20,7 @@
 #include "core/pattern_store.hpp"
 #include "engine/parallel_search.hpp"
 #include "engine/sim_replication.hpp"
+#include "engine/thread_pool.hpp"
 #include "fuzz/diff_harness.hpp"
 #include "model/serialization.hpp"
 #include "serve/server.hpp"
@@ -46,8 +47,8 @@ void print_usage_prose(std::ostream& out) {
       << "pool (--threads T, 0 = all cores); every worker evaluates\n"
       << "candidates through a private memoizing analysis context over the\n"
       << "one shared instance, and the reduction is serial and in restart\n"
-      << "order — results are bit-identical for every --threads value and\n"
-      << "equal to the serial search. Restart starts are drawn from --seed\n"
+      << "order — results are bit-identical for every --threads value,\n"
+      << "--threads 1 included. Restart starts are drawn from --seed\n"
       << "in restart order, so growing R never changes earlier restarts.\n"
       << "--scenarios runs every instance listed in <list-file> (one path\n"
       << "per line, '#' comments, paths relative to the list file) as a\n"
@@ -550,7 +551,7 @@ int cmd_search(const CliArgs& args) {
   // Mirrors the pool sizing inside parallel_optimize_batch (each returned
   // row's own threads_used is 1 by design: one worker per scenario).
   const std::size_t threads_used = std::min<std::size_t>(
-      options.resolved_threads(), scenarios.size());
+      resolve_threads(options.threads), scenarios.size());
   table.print(std::cout,
               std::string("mapping search (") + objective_name +
                   " objective, seed " + std::to_string(args.seed) +
