@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/pattern_store.hpp"
 #include "maxplus/deterministic.hpp"
 #include "tpn/builder.hpp"
 #include "young/pattern_analysis.hpp"
@@ -41,7 +40,7 @@ double AnalysisContext::base_score() const {
 
 void AnalysisContext::clear() {
   stats_ = AnalysisCacheStats{};
-  pattern_cache_.clear();
+  own_store_.reset();
   base_mapping_.reset();
   base_assignment_.clear();
   base_columns_.clear();
@@ -50,56 +49,49 @@ void AnalysisContext::clear() {
   scratch_mapping_.reset();
 }
 
+PatternStore& AnalysisContext::active_store() {
+  if (store_ != nullptr) return *store_;
+  if (!own_store_) own_store_ = std::make_unique<PatternStore>(1);
+  return *own_store_;
+}
+
 double AnalysisContext::pattern_rate(const CommPattern& pattern) {
   if (pattern.homogeneous()) {
     ++stats_.closed_form;
     return pattern_flow_exponential_homogeneous(
         pattern.u, pattern.v, 1.0 / pattern.durations.front());
   }
-  PatternSignature signature = pattern_signature(pattern);
-  const auto it = pattern_cache_.find(signature);
-  if (it != pattern_cache_.end()) {
+  const PatternSignature signature = pattern_signature(pattern);
+  PatternStore& store = active_store();
+  // A hit is bit-identical to a solve — entries are immutable and published
+  // by deterministic solves of the same signature — so hits + misses ==
+  // requests whatever the store held, the cache-state invariant every
+  // counter contract relies on.
+  if (const std::optional<double> stored = store.lookup(signature)) {
     ++stats_.pattern_hits;
-    return it->second;
-  }
-  // Local miss: consult the shared store (if attached) before solving. A
-  // store hit is bit-identical to a local solve — entries are immutable and
-  // published by deterministic solves of the same signature — so it counts
-  // as a pattern hit and keeps hits + misses == requests, the cache-state
-  // invariant every counter contract relies on.
-  if (store_ != nullptr) {
-    if (const std::optional<double> shared = store_->lookup(signature)) {
-      ++stats_.pattern_hits;
-      ++stats_.store_hits;
-      debug_check_store_hit(pattern, *shared);
-      pattern_cache_.emplace(std::move(signature), *shared);
-      return *shared;
-    }
+    debug_check_store_hit(pattern, *stored);
+    return *stored;
   }
   const double rate =
       pattern_flow_exponential(pattern, options_.max_states).inner_flow;
   ++stats_.pattern_misses;
-  if (store_ != nullptr) {
-    store_->publish(signature, rate);
-    ++stats_.store_publishes;
-  }
-  pattern_cache_.emplace(std::move(signature), rate);
+  store.publish(signature, rate);
   return rate;
 }
 
 void AnalysisContext::debug_check_store_hit(const CommPattern& pattern,
                                             double rate) {
 #ifndef NDEBUG
-  // Cross-context agreement probe: re-solve a deterministic sample of store
-  // hits (the first, then every seventh) and assert the stored rate is the
-  // bit-exact solve of the signature. Catches a corrupted or stale store
-  // entry at the first context that consumes it.
-  if (stats_.store_hits % 7 != 1) return;
+  // Agreement probe: re-solve a deterministic sample of hits (the first,
+  // then every seventh) and assert the stored rate is the bit-exact solve
+  // of the signature. Catches a corrupted or stale entry of a shared store
+  // at the first context that consumes it.
+  if (stats_.pattern_hits % 7 != 1) return;
   const double reference =
       pattern_flow_exponential(pattern, options_.max_states).inner_flow;
   SF_ASSERT(reference == rate,
-            "shared pattern-store hit diverged from a fresh solve of the "
-            "same signature (stale or corrupted store entry)");
+            "pattern-store hit diverged from a fresh solve of the same "
+            "signature (stale or corrupted store entry)");
 #else
   (void)pattern;
   (void)rate;

@@ -2,12 +2,15 @@
 //
 // One context per analysis session (a mapping search, a batch of scenarios)
 // owns:
-//  (a) a pattern-solve cache: the saturated rate of every heterogeneous
-//      communication pattern solved so far, keyed by its canonical
-//      signature (tpn/columns.hpp's PatternSignature). The signature pins
-//      (u, v, exact link durations), so entries are valid — and shared —
-//      across every mapping evaluated through the context, even mappings of
-//      different (application, platform) instances;
+//  (a) exactly one pattern cache, a PatternStore (core/pattern_store.hpp)
+//      holding the saturated rate of every heterogeneous communication
+//      pattern solved so far, keyed by its canonical signature
+//      (tpn/columns.hpp's PatternSignature): the shared store attached with
+//      set_pattern_store(), or else a one-shard store the context owns,
+//      built on the first lookup. The signature pins (u, v, exact link
+//      durations), so entries are valid — and shared — across every mapping
+//      evaluated through the store, even mappings of different
+//      (application, platform) instances;
 //  (b) reusable arenas for the column decomposition and flow recursion, so
 //      repeated evaluations stop reallocating; and
 //  (c) an incremental move-evaluation API for local search: set_base() pins
@@ -18,7 +21,7 @@
 //
 // The column method splits as decompose -> solve_patterns -> compose:
 // decompose produces the per-column communication patterns (tpn/columns),
-// solve_patterns obtains each pattern's saturated rate from the cache, from
+// solve_patterns obtains each pattern's saturated rate from the store, from
 // a fresh Young-diagram CTMC solve (young/pattern_analysis over
 // markov/throughput's saturated_flow), or from Theorem 4's closed form, and
 // compose runs the forward flow recursion of Theorem 3 over the component
@@ -44,28 +47,23 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/analyzer.hpp"
 #include "core/heuristics.hpp"
+#include "core/pattern_store.hpp"
 #include "tpn/columns.hpp"
 
 namespace streamflow {
 
-class PatternStore;
-
 /// Monotone counters of one AnalysisContext (clear() resets them).
 struct AnalysisCacheStats {
-  std::size_t pattern_hits = 0;    ///< CTMC solves answered from the cache
-  std::size_t pattern_misses = 0;  ///< CTMC solves computed and stored
-  /// The subset of `pattern_hits` answered by the attached PatternStore
-  /// (zero without one). hits + misses == requests stays cache-state
-  /// invariant; this split, like the local hit/miss split, is not.
-  std::size_t store_hits = 0;
-  /// Local solves published into the attached PatternStore.
-  std::size_t store_publishes = 0;
+  /// CTMC solves answered from the store. hits + misses == requests stays
+  /// cache-state invariant; the split between the two is not.
+  std::size_t pattern_hits = 0;
+  std::size_t pattern_misses = 0;  ///< CTMC solves computed and published
   std::size_t closed_form = 0;     ///< homogeneous Theorem 4 evaluations
   /// Feasible candidates considered (full + incremental). A pruned probe
   /// counts: the candidate WAS evaluated, just via its bound instead of the
@@ -111,16 +109,16 @@ class AnalysisContext {
   const ExponentialOptions& exponential_options() const { return options_; }
 
   /// Drop-in for the free exponential_throughput(): same contract, same
-  /// bits, but pattern solves go through the cache and arenas are reused.
+  /// bits, but pattern solves go through the store and arenas are reused.
   ExponentialThroughput exponential(
       const Mapping& mapping, ExecutionModel model = ExecutionModel::kOverlap);
 
-  /// Saturated rate of one communication pattern through the cache.
+  /// Saturated rate of one communication pattern through the store.
   /// Bit-identical to pattern_flow_exponential (heterogeneous pattern) or
   /// pattern_flow_exponential_homogeneous (Theorem 4 closed form).
   double pattern_rate(const CommPattern& pattern);
 
-  /// evaluate_mapping() through the cache: the objective value of `mapping`
+  /// evaluate_mapping() through the store: the objective value of `mapping`
   /// under `options`. Counted in stats().evaluations.
   double objective(const Mapping& mapping, const MappingSearchOptions& options);
 
@@ -186,24 +184,23 @@ class AnalysisContext {
   /// changes no counter.
   double commit_move(const MappingMove& move);
 
-  /// Attaches a shared PatternStore consulted on local-cache misses (and
-  /// published into after local solves); nullptr detaches. The store must
-  /// outlive every context attached to it. Results stay bit-identical with
-  /// any store, warm or cold: a store hit returns the bits a local solve of
-  /// the same signature would have produced (entries are immutable once
-  /// published and solves are deterministic; Debug builds re-solve a
-  /// sample of store hits and assert). The context itself remains
-  /// single-threaded — the store is internally synchronized, the context
-  /// is not.
+  /// Attaches a shared PatternStore that every pattern lookup reads through
+  /// (and every solve is published into) instead of the context's own
+  /// store; nullptr goes back to the own store. The store must outlive
+  /// every context attached to it. Results stay bit-identical with any
+  /// store, warm or cold: a hit returns the bits a solve of the same
+  /// signature would have produced (entries are immutable once published
+  /// and solves are deterministic; Debug builds re-solve a sample of hits
+  /// and assert). The context itself remains single-threaded — the store
+  /// is internally synchronized, the context is not.
   void set_pattern_store(PatternStore* store) { store_ = store; }
+  /// The attached store, or nullptr when the context reads its own.
   PatternStore* pattern_store() const { return store_; }
 
   const AnalysisCacheStats& stats() const { return stats_; }
 
-  /// Number of distinct heterogeneous patterns currently cached.
-  std::size_t pattern_cache_size() const { return pattern_cache_.size(); }
-
-  /// Drops the cache, the base, and the statistics.
+  /// Drops the base and the statistics, and empties the context's own
+  /// store. An attached store is never touched.
   void clear();
 
  private:
@@ -221,12 +218,6 @@ class AnalysisContext {
   struct SolvedColumn {
     std::size_t g = 1;
     std::vector<SolvedComponent> comps;
-  };
-
-  struct SignatureHash {
-    std::size_t operator()(const PatternSignature& s) const {
-      return static_cast<std::size_t>(s.hash());
-    }
   };
 
   SolvedColumn solve_column(const Mapping& mapping, std::size_t file_index);
@@ -251,19 +242,18 @@ class AnalysisContext {
                               const MappingSearchOptions& options);
   /// Debug-only sampled re-solve of a pruned candidate (no-op in Release).
   void debug_check_pruned(const Mapping& candidate, double threshold);
+  /// The store pattern lookups read through: the attached one, else the
+  /// context's own (built here on first use, so a context that only ever
+  /// reads an attached store allocates none).
+  PatternStore& active_store();
   /// Debug-only sampled re-solve of a store hit, asserting the stored rate
   /// equals a fresh solve bit for bit (no-op in Release).
   void debug_check_store_hit(const CommPattern& pattern, double rate);
 
   ExponentialOptions options_;
   AnalysisCacheStats stats_;
-  /// Optional shared second tier behind pattern_cache_ (not owned).
-  PatternStore* store_ = nullptr;
-  // Point-queried only (find/emplace/clear/size) and NEVER iterated:
-  // iteration order would depend on hash seeding and insertion history,
-  // and must not be able to reach results. The unordered-iter lint rule
-  // guards this invariant tree-wide.
-  std::unordered_map<PatternSignature, double, SignatureHash> pattern_cache_;
+  PatternStore* store_ = nullptr;           ///< attached store (not owned)
+  std::unique_ptr<PatternStore> own_store_;  ///< read when none is attached
 
   // Arenas reused across evaluations.
   std::vector<double> eff_;

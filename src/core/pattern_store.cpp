@@ -90,17 +90,12 @@ bool parse_size(const std::string& token, std::size_t& out) {
 }  // namespace
 
 struct PatternStore::Shard {
-  struct Hash {
-    std::size_t operator()(const PatternSignature& signature) const {
-      return static_cast<std::size_t>(signature.hash());
-    }
-  };
-
   mutable Mutex mutex;
   // Point-queried by lookup()/publish(); iterated ONLY by the snapshot and
   // fault-injection paths below, which sort (or treat order-independently)
   // before anything escapes.
-  std::unordered_map<PatternSignature, double, Hash> map SF_GUARDED_BY(mutex);
+  std::unordered_map<PatternSignature, double, PatternSignature::Hash> map
+      SF_GUARDED_BY(mutex);
   std::size_t hits SF_GUARDED_BY(mutex) = 0;
   std::size_t misses SF_GUARDED_BY(mutex) = 0;
   std::size_t publishes SF_GUARDED_BY(mutex) = 0;
@@ -118,6 +113,9 @@ PatternStore::PatternStore(std::size_t shards) {
 PatternStore::~PatternStore() = default;
 
 std::size_t PatternStore::shard_of(const PatternSignature& signature) const {
+  // A context's own store has one shard: skip hashing the signature twice
+  // (here and in the shard's map) on every lookup.
+  if (shards_.size() == 1) return 0;
   return static_cast<std::size_t>(signature.hash() % shards_.size());
 }
 
@@ -386,11 +384,6 @@ std::size_t PatternStore::transform_rates(
     }
   }
   return transformed;
-}
-
-PatternStore& PatternStore::process_wide() {
-  static PatternStore store;
-  return store;
 }
 
 }  // namespace streamflow

@@ -1,11 +1,13 @@
-// PatternStore — the process-wide, sharded pattern-solve cache.
+// PatternStore — the sharded pattern-solve cache.
 //
-// An AnalysisContext's pattern cache is private and single-threaded
-// (docs/ARCHITECTURE.md rule 2), so parallel workers re-solve identical
-// PatternSignatures and every CLI invocation starts cold. The PatternStore
-// is the shared tier behind those private caches: a striped-lock map from
-// PatternSignature to the pattern's saturated rate, consulted by a context
-// on a local miss and published into after a local solve.
+// It is the one pattern cache: every AnalysisContext reads its pattern
+// rates through exactly one store, a shared one attached with
+// AnalysisContext::set_pattern_store() or else a one-shard store the
+// context owns. A store is a striped-lock map from PatternSignature to the
+// pattern's saturated rate, looked up before a solve and published into
+// after one. Shared among contexts (parallel search workers, serve
+// requests), it lets each pattern be solved once per store instead of once
+// per context, and snapshots carry it across runs.
 //
 // Sharing never changes results. A pattern's saturated rate is a
 // deterministic function of its signature alone (the signature pins u, v,
@@ -15,7 +17,7 @@
 // interleavings of readers and writers. publish() asserts exactly that on
 // every duplicate publication, and Debug builds additionally re-solve a
 // deterministic sample of store hits inside AnalysisContext
-// (debug-check-store-hit, the cross-context agreement probe).
+// (debug_check_store_hit, the agreement probe).
 //
 // Concurrency: entries are immutable once published (first writer wins),
 // shard = hash(signature) mod shard_count, each shard owns a
@@ -64,6 +66,8 @@ class PatternStore {
  public:
   static constexpr std::size_t kDefaultShards = 16;
 
+  /// Shared stores use kDefaultShards and a context's own store one shard;
+  /// other counts exist for tests of the shard topology.
   explicit PatternStore(std::size_t shards = kDefaultShards);
   ~PatternStore();
 
@@ -127,10 +131,6 @@ class PatternStore {
   /// transformed entry deliberately violates the solve-determinism
   /// contract that lookup hits rely on.
   std::size_t transform_rates(const std::function<double(double)>& fn);
-
-  /// The process-wide instance long-running callers (the CLI serve mode)
-  /// share by default. Constructed with kDefaultShards on first use.
-  static PatternStore& process_wide();
 
   /// Opaque shard (defined in the .cpp): an annotated Mutex striping one
   /// hash-map slice plus its exact counters. Public only so implementation

@@ -58,12 +58,13 @@ struct ParallelSearchOptions {
   /// restart starts are drawn. Off by default, so every scenario
   /// reuses `search.seed` exactly as the serial batch CLI always has.
   bool scenario_streams = false;
-  /// Optional process-wide PatternStore (core/pattern_store.hpp) attached
-  /// to every worker context, so restarts share pattern solves across
-  /// workers, calls, and (via snapshots) processes. Results are
-  /// bit-identical with or without it, warm or cold — a store hit returns
-  /// the bits a local solve would have — so this field, like `threads`,
-  /// can never reach a result. Not owned; must outlive the call.
+  /// Optional shared PatternStore (core/pattern_store.hpp) attached to
+  /// every worker context, so restarts share pattern solves across
+  /// workers, calls, and (via snapshots) processes; without it each worker
+  /// context reads its own store. Results are bit-identical with or
+  /// without it, warm or cold — a store hit returns the bits a solve would
+  /// have — so this field, like `threads`, can never reach a result. Not
+  /// owned; must outlive the call.
   PatternStore* pattern_store = nullptr;
 
   // ---- Metaheuristic island portfolio (search.kind != kGreedyLocal) -------

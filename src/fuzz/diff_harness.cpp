@@ -443,7 +443,7 @@ ScenarioVerdict check_scenario(const Scenario& scenario,
     }
   }
 
-  // ---- Check 6: warm shared PatternStore == private-cache path, bit-exact --
+  // ---- Check 6: warm shared PatternStore == a context's own store ---------
   if (selected(CheckId::kSharedStore)) {
     CheckResult& check = verdict.checks[5];
     if (model == ExecutionModel::kStrict) {
@@ -452,7 +452,7 @@ ScenarioVerdict check_scenario(const Scenario& scenario,
                "solves to share");
     } else {
       try {
-        // Reference: the private-cache path every PR through 9 used.
+        // Reference: no store attached, so the context reads its own.
         AnalysisContext cold;
         const ExponentialThroughput reference =
             cold.exponential(mapping, model);
@@ -460,7 +460,7 @@ ScenarioVerdict check_scenario(const Scenario& scenario,
             cold.stats().pattern_hits + cold.stats().pattern_misses;
         // Warm a shared store through one context, then re-evaluate through
         // a second context that sees the first one's solves as store hits.
-        PatternStore store(4);
+        PatternStore store;
         AnalysisContext warmer;
         warmer.set_pattern_store(&store);
         (void)warmer.exponential(mapping, model);

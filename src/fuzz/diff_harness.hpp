@@ -23,14 +23,14 @@
 //                    — screens may only skip candidates that provably lose
 //                    — and the prune accounting is exact: screened
 //                    moves_solved + pruned equals unscreened moves_solved;
-//   kSharedStore   — evaluating through a warm process-wide PatternStore
-//                    (core/pattern_store) is bit-identical to the private-
-//                    cache path: throughput, in-order rate, and every
-//                    component (label, inner, effective, bottleneck flag)
-//                    of the exponential analysis, plus the cache-state-
-//                    invariant pattern-request total. Skipped for the
-//                    Strict model (general CTMC — no pattern solves to
-//                    share).
+//   kSharedStore   — evaluating through a warm shared PatternStore
+//                    (core/pattern_store) is bit-identical to evaluating
+//                    through a context's own store: throughput, in-order
+//                    rate, and every component (label, inner, effective,
+//                    bottleneck flag) of the exponential analysis, plus
+//                    the cache-state-invariant pattern-request total.
+//                    Skipped for the Strict model (general CTMC — no
+//                    pattern solves to share).
 //
 // Every analytic quantity flows through a HarnessHooks slot so tests can
 // inject an off-by-epsilon evaluator shim and prove each check can actually

@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
-#include <limits>
+#include <charconv>
+#include <system_error>
 
 #include "common/error.hpp"
 
@@ -210,19 +211,13 @@ std::uint64_t FlatRequest::take_u64_or(const std::string& key,
                           "integer (got '" + text + "': " + why + ")");
   };
   if (!text.empty() && text.front() == '-') reject("negative");
-  if (text.find('.') != std::string::npos ||
-      text.find('e') != std::string::npos ||
-      text.find('E') != std::string::npos) {
+  std::uint64_t parsed = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+  if (error == std::errc::invalid_argument || stop != end) {
     reject("not an integer");
   }
-  if (text.size() > 20) reject("out of range");
-  std::uint64_t parsed = 0;
-  for (const char c : text) {
-    if (parsed > std::numeric_limits<std::uint64_t>::max() / 10) {
-      reject("out of range");
-    }
-    parsed = parsed * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  if (error == std::errc::result_out_of_range) reject("out of range");
   return parsed;
 }
 

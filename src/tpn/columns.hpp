@@ -75,6 +75,13 @@ struct PatternSignature {
 
   /// FNV-1a over (u, v, duration bits), for hash-map use.
   std::uint64_t hash() const;
+
+  /// Hash functor over hash(), for unordered containers keyed by signature.
+  struct Hash {
+    std::size_t operator()(const PatternSignature& signature) const {
+      return static_cast<std::size_t>(signature.hash());
+    }
+  };
 };
 
 PatternSignature pattern_signature(const CommPattern& pattern);

@@ -151,7 +151,7 @@ TEST(FuzzHarness, PrunedSearchCheckDetectsOneUlpBoundSkew) {
   EXPECT_FALSE(check_fails(scenario, CheckId::kPrunedSearch, options, {}));
 }
 
-// ---- Invariant 6: warm shared store == private cache, bit for bit ----------
+// ---- Invariant 6: warm shared store == a context's own store, bit for bit --
 
 TEST(FuzzHarness, SharedStoreCheckDetectsStaleEntry) {
   const HarnessOptions options = fast_options();

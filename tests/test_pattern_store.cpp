@@ -1,4 +1,4 @@
-// Concurrency battery for the process-wide PatternStore
+// Concurrency battery for PatternStore
 // (core/pattern_store.hpp) and its AnalysisContext integration.
 //
 // What is pinned here:
@@ -210,13 +210,6 @@ TEST(PatternStore, ConcurrentOverlappingSetsAgreeBitExactly) {
   EXPECT_EQ(stats.publishes + stats.duplicates, stats.misses);
 }
 
-TEST(PatternStore, ProcessWideIsOneInstance) {
-  PatternStore& a = PatternStore::process_wide();
-  PatternStore& b = PatternStore::process_wide();
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(a.shard_count(), PatternStore::kDefaultShards);
-}
-
 // ---- AnalysisContext integration -------------------------------------------
 
 TEST(PatternStoreContext, StoreHitReturnsSolveBits) {
@@ -225,7 +218,7 @@ TEST(PatternStoreContext, StoreHitReturnsSolveBits) {
   ASSERT_FALSE(patterns.empty());
   ASSERT_FALSE(patterns.front().homogeneous());
 
-  // Reference: the private-cache path, no store attached.
+  // Reference: no store attached, so the context reads its own.
   AnalysisContext reference;
   std::vector<double> expected;
   for (const CommPattern& pattern : patterns) {
@@ -240,18 +233,34 @@ TEST(PatternStoreContext, StoreHitReturnsSolveBits) {
     EXPECT_EQ(writer.pattern_rate(patterns[k]), expected[k]);
   }
   EXPECT_GT(store.size(), 0u);
-  EXPECT_EQ(writer.stats().store_publishes, store.size());
-  EXPECT_EQ(writer.stats().store_hits, 0u);
+  // A cold attached store counts exactly as the reference's own store did,
+  // and every solve was published into it.
+  EXPECT_EQ(writer.stats().pattern_misses, store.size());
+  EXPECT_EQ(writer.stats().pattern_hits, reference.stats().pattern_hits);
+  EXPECT_EQ(store.stats().publishes, store.size());
+
+  // clear() on a context with an attached store leaves the store's entries
+  // and counters alone.
+  const PatternStoreStats before_clear = store.stats();
+  writer.clear();
+  EXPECT_EQ(writer.pattern_store(), &store);
+  const PatternStoreStats after_clear = store.stats();
+  EXPECT_EQ(after_clear.entries, before_clear.entries);
+  EXPECT_EQ(after_clear.hits, before_clear.hits);
+  EXPECT_EQ(after_clear.misses, before_clear.misses);
+  EXPECT_EQ(after_clear.publishes, before_clear.publishes);
+  EXPECT_EQ(after_clear.duplicates, before_clear.duplicates);
 
   // A second context sees the first one's solves as store hits — and the
-  // hits must be bit-identical to the local solves above.
+  // hits must be bit-identical to the solves above.
   AnalysisContext reader;
   reader.set_pattern_store(&store);
   for (std::size_t k = 0; k < patterns.size(); ++k) {
     EXPECT_EQ(reader.pattern_rate(patterns[k]), expected[k]);
   }
-  EXPECT_GT(reader.stats().store_hits, 0u);
-  EXPECT_EQ(reader.stats().store_publishes, 0u);
+  EXPECT_GT(reader.stats().pattern_hits, 0u);
+  EXPECT_EQ(reader.stats().pattern_misses, 0u);
+  EXPECT_EQ(store.stats().publishes, store.size());
   // hits + misses stays cache-state invariant across all three contexts.
   EXPECT_EQ(reader.stats().pattern_hits + reader.stats().pattern_misses,
             reference.stats().pattern_hits + reference.stats().pattern_misses);
@@ -276,8 +285,8 @@ TEST(PatternStoreContext, StaleStoreEntryIsDetected) {
   AnalysisContext reader;
   reader.set_pattern_store(&store);
 #ifndef NDEBUG
-  // Debug: the sampled re-solve probe checks the FIRST store hit of a
-  // context, so the staleness trips the assertion immediately.
+  // Debug: the sampled re-solve probe checks the FIRST hit of a context,
+  // so the staleness trips the assertion immediately.
   EXPECT_THROW(reader.pattern_rate(patterns.front()), InvalidArgument);
 #else
   // Release: the stale bits flow through — proving the Debug probe is
@@ -285,13 +294,20 @@ TEST(PatternStoreContext, StaleStoreEntryIsDetected) {
   // shared-store check compares full component vectors).
   EXPECT_NE(reader.pattern_rate(patterns.front()), honest);
 #endif
+
+  // Detaching goes back to the context's own store, which never held the
+  // stale entry: the pattern is solved afresh.
+  reader.set_pattern_store(nullptr);
+  EXPECT_EQ(reader.pattern_rate(patterns.front()), honest);
+  EXPECT_EQ(reader.stats().pattern_misses, 1u);
 }
 
 // ---- Warm-store search bit-identity ----------------------------------------
 
 TEST(PatternStoreSearch, WarmStoreSearchIsBitIdentical) {
-  // One greedy restart (construction plus local search) through a private
-  // context, then through contexts attached to a cold and a warm store.
+  // One greedy restart (construction plus local search) through a context
+  // reading its own store, then through contexts attached to a cold and a
+  // warm shared store.
   const Mapping mapping = heterogeneous_mapping();
   MappingSearchOptions search;
   search.seed = 7;
@@ -311,7 +327,7 @@ TEST(PatternStoreSearch, WarmStoreSearchIsBitIdentical) {
   warm.set_pattern_store(&store);
   const RestartResult via_warm_store =
       run_greedy_restart(mapping.instance(), search, warm);
-  EXPECT_GT(warm.stats().store_hits, 0u);
+  EXPECT_EQ(warm.stats().pattern_misses, 0u);
 
   for (const RestartResult* result : {&via_cold_store, &via_warm_store}) {
     EXPECT_EQ(result->score, baseline.score);

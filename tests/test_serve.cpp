@@ -148,6 +148,11 @@ TEST(Serve, MalformedRequestsAreRejectedWithDiagnostics) {
        "{\"op\":\"search\",\"max_paths\":18446744073709551615," +
            instance_field,
        "max_paths\\\" must be at most 9223372036854775807"},
+      {"seed one above UINT64_MAX",
+       "{\"op\":\"simulate\",\"seed\":18446744073709551616," +
+           instance_field,
+       "seed\\\" must be a nonnegative integer (got "
+       "'18446744073709551616': out of range)"},
   };
   for (const Case& test_case : cases) {
     const HandledRequest handled = handle_request(test_case.line, options);
@@ -159,6 +164,12 @@ TEST(Serve, MalformedRequestsAreRejectedWithDiagnostics) {
         << test_case.label << ": " << handled.response;
   }
 
+  // UINT64_MAX itself is a valid seed.
+  const HandledRequest max_seed = handle_request(
+      "{\"op\":\"simulate\",\"seed\":18446744073709551615,"
+      "\"data_sets\":50," + instance_field, options);
+  EXPECT_FALSE(max_seed.is_error) << max_seed.response;
+
   // The loop survives every rejection and keeps serving.
   std::ostringstream stream_text;
   for (const Case& test_case : cases) stream_text << test_case.line << "\n";
@@ -166,11 +177,31 @@ TEST(Serve, MalformedRequestsAreRejectedWithDiagnostics) {
   std::istringstream in(stream_text.str());
   std::ostringstream out;
   const ServeResult result = run_serve_loop(in, out, options);
-  EXPECT_EQ(result.requests, 12u);
-  EXPECT_EQ(result.errors, 11u);
+  EXPECT_EQ(result.requests, 13u);
+  EXPECT_EQ(result.errors, 12u);
   EXPECT_FALSE(result.shutdown_requested);
   EXPECT_NE(out.str().find("{\"id\":99,\"ok\":true,\"result\":{\"pong\":true}}"),
             std::string::npos);
+}
+
+TEST(Serve, ErrorResponsesNameNoBuildDirectory) {
+  // A failed library precondition reports "at <file>:<line>"; the file is
+  // named relative to the repository, so error bytes do not depend on
+  // where the server was built.
+  const std::string fixtures = STREAMFLOW_FIXTURE_DIR;
+  const std::size_t cut = fixtures.rfind("/tests/fixtures");
+  ASSERT_NE(cut, std::string::npos);
+  const std::string analyze = analyze_request_line();
+  const HandledRequest handled = handle_request(
+      "{\"op\":\"search\",\"max_paths\":0," +
+          analyze.substr(analyze.find("\"instance\"")),
+      ServeOptions{});
+  EXPECT_TRUE(handled.is_error);
+  EXPECT_NE(handled.response.find(" at src/core/heuristics.cpp:"),
+            std::string::npos)
+      << handled.response;
+  EXPECT_EQ(handled.response.find(fixtures.substr(0, cut)), std::string::npos)
+      << handled.response;
 }
 
 TEST(Serve, RepeatedAndInterleavedRequestsAreByteIdentical) {

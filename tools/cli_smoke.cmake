@@ -69,11 +69,14 @@ expect_flag_error(--islands search x.instance --islands 0)
 expect_flag_error(--sync-rounds search x.instance --sync-rounds 2.5)
 expect_flag_error(--sync-rounds search x.instance --sync-rounds 0)
 
-# Pattern-store and serve-mode flags: shard counts and batch sizes must be
-# positive integers, and the path-valued flags must reject a missing value
-# instead of silently consuming the next option.
-expect_flag_error(--store-shards search x.instance --store-shards 0)
-expect_flag_error(--store-shards serve --store-shards -4)
+# Pattern-store and serve-mode flags: batch sizes must be positive
+# integers, the path-valued flags must reject a missing value instead of
+# silently consuming the next option, and the shard count of a store is not
+# a flag.
+expect_flag_error("unknown or misplaced argument '--store-shards'"
+                  search x.instance --store-shards 0)
+expect_flag_error("unknown or misplaced argument '--store-shards'"
+                  serve --store-shards -4)
 expect_flag_error(--batch serve --batch 0)
 expect_flag_error(--batch serve --batch 2.5)
 expect_flag_error(--cache-load search x.instance --cache-load)
@@ -268,14 +271,14 @@ endif()
 run_cli(0 nostore_out search "${instance}" --objective exp --restarts 4
         --seed 3)
 run_cli(0 save_out search "${instance}" --objective exp --restarts 4
-        --seed 3 --shared-store --store-shards 8
+        --seed 3 --shared-store
         --cache-save "${WORK_DIR}/patterns.snapshot")
 if(NOT save_out MATCHES "pattern store:" OR
    NOT EXISTS "${WORK_DIR}/patterns.snapshot")
   message(FATAL_ERROR "--cache-save did not write a snapshot:\n${save_out}")
 endif()
 run_cli(0 load_out search "${instance}" --objective exp --restarts 4
-        --seed 3 --shared-store --store-shards 8 --threads 4
+        --seed 3 --shared-store --threads 4
         --cache-load "${WORK_DIR}/patterns.snapshot")
 foreach(var nostore_out save_out load_out)
   string(REGEX REPLACE "\npattern store:[^\n]*" "" ${var}_strip "${${var}}")

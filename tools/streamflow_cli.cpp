@@ -68,14 +68,13 @@ void print_usage_prose(std::ostream& out) {
       << "the outcome is a pure function of (seed, options) for every\n"
       << "--threads value. --kind anneal|tabu is per-instance only and\n"
       << "cannot be combined with --scenarios. --shared-store evaluates\n"
-      << "through the process-wide pattern store (implied by --store-shards\n"
-      << "N, which uses a private store of N shards instead, and by\n"
+      << "through one pattern store shared by every worker (implied by\n"
       << "--cache-load/--cache-save): workers share pattern solves across\n"
       << "restarts and — via snapshots — across runs, and the result stays\n"
-      << "bit-identical to a private-cache search. --cache-load FILE\n"
-      << "warm-starts the store from a snapshot (digest-validated; a\n"
-      << "missing file is a cold start); --cache-save FILE writes one\n"
-      << "after the search.\n"
+      << "bit-identical to a search in which each worker reads its own\n"
+      << "store. --cache-load FILE warm-starts the shared store from a\n"
+      << "snapshot (digest-validated; a missing file is a cold start);\n"
+      << "--cache-save FILE writes one after the search.\n"
       << "\n"
       << "serve runs the long-lived evaluation service: one flat JSON\n"
       << "request per line (op = ping|analyze|search|simulate|stats|\n"
@@ -85,7 +84,7 @@ void print_usage_prose(std::ostream& out) {
       << "function of its request line — byte-identical for any store\n"
       << "warmth, batching, request interleaving, or --threads value (op\n"
       << "stats, which reports live store counters, is the one exception).\n"
-      << "All requests share the process-wide pattern store;\n"
+      << "All requests share one pattern store;\n"
       << "--cache-load/--cache-save warm-start and snapshot it, and a\n"
       << "shutdown request drains the in-flight batch before the loop\n"
       << "stops.\n"
@@ -98,7 +97,7 @@ void print_usage_prose(std::ostream& out) {
       << "max-plus deterministic upper bound, serial/parallel determinism,\n"
       << "the bound-screened search against the unscreened search\n"
       << "(bit-identical scores, mappings, and evaluation counts), and the\n"
-      << "warm shared pattern store against the private-cache path\n"
+      << "warm shared pattern store against a context's own store\n"
       << "(bit-identical analyses, component by component). Each divergence\n"
       << "is minimized and written to --divergence-dir as a replayable\n"
       << ".scenario fixture; --json writes the full machine-readable\n"
@@ -140,10 +139,9 @@ struct CliArgs {
   std::size_t islands = 4;
   std::size_t sync_rounds = 8;
   // shared pattern store (search and serve)
-  bool shared_store = false;    // evaluate through the process-wide store
-  std::size_t store_shards = 0;  // 0 = process-wide store; N = private store
-  std::string cache_load;        // snapshot to warm-start from
-  std::string cache_save;        // snapshot to write afterwards
+  bool shared_store = false;  // evaluate through one shared store
+  std::string cache_load;     // snapshot to warm-start from
+  std::string cache_save;     // snapshot to write afterwards
   // serve options
   std::size_t batch = 16;    // max requests per dispatched batch
   std::string socket_path;   // empty = stdin/stdout pipe mode
@@ -268,8 +266,6 @@ const Flag kFlags[] = {
     integer("--islands", "I", kSearch, &CliArgs::islands, 1),
     integer("--sync-rounds", "N", kSearch, &CliArgs::sync_rounds, 1),
     toggle("--shared-store", kSearch, &CliArgs::shared_store),
-    integer("--store-shards", "N", kSearch | kServe, &CliArgs::store_shards,
-            1),
     text("--cache-load", "FILE", kSearch | kServe, &CliArgs::cache_load),
     text("--cache-save", "FILE", kSearch | kServe, &CliArgs::cache_save),
     text("--scenarios", "<list-file>", kSearch, &CliArgs::scenarios_path),
@@ -401,29 +397,6 @@ std::vector<std::string> read_scenarios(const std::string& path) {
   return result;
 }
 
-/// Resolves the shared-store flags: a private store of --store-shards
-/// shards (held in `local`) or the process-wide store, warm-started from
-/// --cache-load when given. Returns null when no store flag was passed.
-PatternStore* select_store(const CliArgs& args,
-                           std::optional<PatternStore>& local,
-                           std::size_t& loaded) {
-  const bool wants_store = args.shared_store || args.store_shards > 0 ||
-                           !args.cache_load.empty() ||
-                           !args.cache_save.empty();
-  if (!wants_store) return nullptr;
-  PatternStore* store;
-  if (args.store_shards > 0) {
-    local.emplace(args.store_shards);
-    store = &*local;
-  } else {
-    store = &PatternStore::process_wide();
-  }
-  // A nonexistent snapshot is a cold start (returns 0); an invalid one
-  // throws with a line diagnostic before any search work happens.
-  if (!args.cache_load.empty()) loaded = store->load_file(args.cache_load);
-  return store;
-}
-
 /// Search-mode store report. Prints only scheduling-invariant quantities
 /// (entry count, shard count, digest) — the store hit/miss SPLIT depends on
 /// which worker solved a pattern first, so it stays unreported, exactly
@@ -443,9 +416,14 @@ void report_store(const CliArgs& args, PatternStore& store,
 }
 
 int cmd_search(const CliArgs& args) {
-  std::optional<PatternStore> local_store;
-  std::size_t warm_loaded = 0;
-  PatternStore* store = select_store(args, local_store, warm_loaded);
+  const bool use_store = args.shared_store || !args.cache_load.empty() ||
+                         !args.cache_save.empty();
+  PatternStore shared;
+  PatternStore* store = use_store ? &shared : nullptr;
+  // A nonexistent snapshot is a cold start (returns 0); an invalid one
+  // throws with a line diagnostic before any search work happens.
+  const std::size_t warm_loaded =
+      args.cache_load.empty() ? 0 : shared.load_file(args.cache_load);
   ParallelSearchOptions options;
   options.pattern_store = store;
   options.search.model = args.model;
@@ -571,12 +549,8 @@ int cmd_serve(const CliArgs& args) {
   ServeOptions options;
   options.threads = args.threads;
   options.max_batch = args.batch;
-  // serve always shares a store across requests: a private one when
-  // --store-shards is given, the process-wide instance otherwise.
-  std::optional<PatternStore> local_store;
-  if (args.store_shards > 0) local_store.emplace(args.store_shards);
-  PatternStore& store =
-      local_store ? *local_store : PatternStore::process_wide();
+  // serve always shares one store across requests.
+  PatternStore store;
   options.store = &store;
   if (!args.cache_load.empty()) {
     const std::size_t loaded = store.load_file(args.cache_load);
