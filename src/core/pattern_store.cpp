@@ -5,12 +5,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/mutex.hpp"
+#include "common/text_reader.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace streamflow {
@@ -62,29 +62,6 @@ std::string hex16(std::uint64_t value) {
   std::snprintf(buffer, sizeof(buffer), "%016llx",
                 static_cast<unsigned long long>(value));
   return buffer;
-}
-
-bool parse_hex64(const std::string& token, std::uint64_t& out) {
-  if (token.empty() || token.size() > 16) return false;
-  try {
-    std::size_t pos = 0;
-    out = std::stoull(token, &pos, 16);
-    return pos == token.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parse_size(const std::string& token, std::size_t& out) {
-  if (token.empty() || token[0] == '-') return false;
-  try {
-    std::size_t pos = 0;
-    const unsigned long long value = std::stoull(token, &pos);
-    out = static_cast<std::size_t>(value);
-    return pos == token.size();
-  } catch (const std::exception&) {
-    return false;
-  }
 }
 
 }  // namespace
@@ -226,100 +203,86 @@ void PatternStore::save(std::ostream& os) const {
   os << "digest " << hex16(entries_digest(entries)) << "\n";
 }
 
-std::size_t PatternStore::load(std::istream& is) {
-  std::size_t line_number = 0;
-  const auto fail = [&](const std::string& message) {
-    throw InvalidArgument("pattern-store snapshot line " +
-                          std::to_string(line_number) + ": " + message);
-  };
-  // Reads the next content line ('#' comments and blank lines skipped).
-  const auto next_line = [&](std::string& out) {
-    std::string raw;
-    while (std::getline(is, raw)) {
-      ++line_number;
-      const std::size_t begin = raw.find_first_not_of(" \t\r");
-      if (begin == std::string::npos || raw[begin] == '#') continue;
-      const std::size_t end = raw.find_last_not_of(" \t\r");
-      out = raw.substr(begin, end - begin + 1);
-      return true;
-    }
-    return false;
-  };
-
-  std::string text;
-  if (!next_line(text)) {
-    fail("missing header (expected 'streamflow-pattern-store v1')");
+std::size_t PatternStore::load(std::string_view text) {
+  TextReader reader(text, "pattern-store snapshot");
+  if (!reader.next_line()) {
+    reader.fail("missing header (expected 'streamflow-pattern-store v1')");
   }
-  if (text != "streamflow-pattern-store v1") {
-    if (text.rfind("streamflow-pattern-store ", 0) == 0) {
-      fail("unsupported snapshot version '" + text.substr(25) +
-           "' (this build reads v1)");
+  const std::string_view header = reader.line();
+  if (header != "streamflow-pattern-store v1") {
+    if (header.starts_with("streamflow-pattern-store ")) {
+      reader.fail("unsupported snapshot version '" +
+                  std::string(header.substr(25)) + "' (this build reads v1)");
     }
-    fail("not a pattern-store snapshot (got '" + text + "')");
+    reader.fail("not a pattern-store snapshot (got '" + std::string(header) +
+                "')");
   }
 
-  if (!next_line(text)) fail("truncated: missing 'entries <count>' line");
-  std::istringstream header(text);
-  std::string keyword, token;
+  if (!reader.next_line()) {
+    reader.fail("truncated: missing 'entries <count>' line");
+  }
   std::size_t count = 0;
-  header >> keyword >> token;
-  if (keyword != "entries" || !parse_size(token, count) ||
-      (header >> keyword)) {
-    fail("expected 'entries <count>', got '" + text + "'");
+  if (reader.token() != "entries" || parse_number(reader.token(), count) ||
+      !reader.at_line_end()) {
+    reader.fail("expected 'entries <count>', got '" +
+                std::string(reader.line()) + "'");
   }
 
+  // No reserve(count): the count is untrusted until the rows are read.
   std::vector<StoredEntry> entries;
-  entries.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
-    if (!next_line(text)) {
-      fail("truncated: expected " + std::to_string(count) +
-           " entries, found " + std::to_string(k));
+    if (!reader.next_line()) {
+      reader.fail("truncated: expected " + std::to_string(count) +
+                  " entries, found " + std::to_string(k));
     }
-    std::istringstream row(text);
+    const std::string_view row = reader.line();
     StoredEntry entry;
     std::size_t bits_count = 0;
-    row >> keyword;
-    std::string u_token, v_token, k_token;
-    row >> u_token >> v_token >> k_token;
-    if (keyword != "entry" || !parse_size(u_token, entry.signature.u) ||
-        !parse_size(v_token, entry.signature.v) ||
-        !parse_size(k_token, bits_count) || entry.signature.u == 0 ||
+    if (reader.token() != "entry" ||
+        parse_number(reader.token(), entry.signature.u) ||
+        parse_number(reader.token(), entry.signature.v) ||
+        parse_number(reader.token(), bits_count) || entry.signature.u == 0 ||
         entry.signature.v == 0 || bits_count == 0) {
-      fail("malformed entry '" + text + "'");
+      reader.fail("malformed entry '" + std::string(row) + "'");
     }
-    entry.signature.duration_bits.reserve(bits_count);
     for (std::size_t b = 0; b < bits_count; ++b) {
       std::uint64_t bits = 0;
-      if (!(row >> token) || !parse_hex64(token, bits)) {
-        fail("malformed duration bits in entry '" + text + "'");
+      if (parse_hex(reader.token(), bits)) {
+        reader.fail("malformed duration bits in entry '" + std::string(row) +
+                    "'");
       }
       entry.signature.duration_bits.push_back(bits);
     }
     std::uint64_t rate_bits = 0;
-    if (!(row >> keyword >> token) || keyword != "rate" ||
-        !parse_hex64(token, rate_bits) || (row >> keyword)) {
-      fail("malformed rate in entry '" + text + "'");
+    if (reader.token() != "rate" || parse_hex(reader.token(), rate_bits) ||
+        !reader.at_line_end()) {
+      reader.fail("malformed rate in entry '" + std::string(row) + "'");
     }
     entry.rate = std::bit_cast<double>(rate_bits);
     entries.push_back(std::move(entry));
   }
 
-  if (!next_line(text)) fail("truncated: missing 'digest <hex>' trailer");
-  std::istringstream trailer(text);
+  if (!reader.next_line()) {
+    reader.fail("truncated: missing 'digest <hex>' trailer");
+  }
   std::uint64_t claimed = 0;
-  trailer >> keyword >> token;
-  if (keyword != "digest" || !parse_hex64(token, claimed) ||
-      (trailer >> keyword)) {
-    fail("expected 'digest <hex>', got '" + text + "'");
+  if (reader.token() != "digest" || parse_hex(reader.token(), claimed) ||
+      !reader.at_line_end()) {
+    reader.fail("expected 'digest <hex>', got '" + std::string(reader.line()) +
+                "'");
   }
   std::vector<StoredEntry> sorted = entries;
   std::sort(sorted.begin(), sorted.end(), entry_less);
   const std::uint64_t computed = entries_digest(sorted);
   if (computed != claimed) {
-    fail("digest mismatch: snapshot claims " + hex16(claimed) +
-         ", entries hash to " + hex16(computed) + " (corrupted snapshot)");
+    reader.fail("digest mismatch: snapshot claims " + hex16(claimed) +
+                ", entries hash to " + hex16(computed) +
+                " (corrupted snapshot)");
   }
-  if (next_line(text)) fail("trailing content after digest: '" + text + "'");
+  if (reader.next_line()) {
+    reader.fail("trailing content after digest: '" +
+                std::string(reader.line()) + "'");
+  }
 
   for (const StoredEntry& entry : entries) {
     Shard& shard = *shards_[shard_of(entry.signature)];
@@ -359,12 +322,7 @@ void PatternStore::save_file(const std::string& path) const {
 
 std::size_t PatternStore::load_file(const std::string& path) {
   if (!std::filesystem::exists(path)) return 0;  // cold start
-  std::ifstream in(path);
-  if (!in) {
-    throw InvalidArgument("cannot read pattern-store snapshot '" + path +
-                          "'");
-  }
-  return load(in);
+  return load(read_text_file(path, "pattern-store snapshot"));
 }
 
 std::uint64_t PatternStore::digest() const {

@@ -44,6 +44,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tpn/columns.hpp"
@@ -109,7 +110,7 @@ class PatternStore {
   /// or skewed version header, a malformed entry, a truncated file, or a
   /// digest mismatch. An entry that collides with a live one must be
   /// bit-equal (same determinism argument as publish()).
-  std::size_t load(std::istream& is);
+  std::size_t load(std::string_view text);
 
   /// save() to `path`; throws InvalidArgument when the file cannot be
   /// written.

@@ -1,14 +1,13 @@
 #include "dist/distribution.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "common/buffered_prng.hpp"
+#include "common/text_reader.hpp"
 
 namespace streamflow {
 
@@ -25,21 +24,19 @@ namespace {
 constexpr double kSqrt2 = 1.4142135623730951;
 constexpr double kInvSqrt2Pi = 0.3989422804014327;
 
-/// Shortest decimal form that parses back to the same double, so that
-/// parse_distribution(law.spec()) is an exact round trip.
+/// Shortest %g form (of at least 6 digits) that parses back to the same
+/// double, so that parse_distribution(law.spec()) is an exact round trip;
+/// non-finite values print as "inf"/"nan".
 std::string fmt(double x) {
-  for (int precision = 6; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os << std::setprecision(precision) << x;
-    try {
-      if (std::stod(os.str()) == x) return os.str();
-    } catch (const std::exception&) {
-      break;  // subnormal: stod raises ERANGE, keep the widest form
-    }
+  char buffer[32];
+  for (int precision = 6;; ++precision) {
+    const auto printed = std::to_chars(buffer, buffer + sizeof buffer, x,
+                                       std::chars_format::general, precision);
+    const std::string_view text(buffer, printed.ptr - buffer);
+    double back = 0.0;
+    if (precision == 17 || (parse_number(text, back) == nullptr && back == x))
+      return std::string(text);
   }
-  std::ostringstream os;
-  os << std::setprecision(17) << x;
-  return os.str();
 }
 
 class ConstantLaw final : public Distribution {
@@ -431,41 +428,6 @@ class HyperexponentialLaw final : public Distribution {
   double p_, lambda1_, lambda2_;
 };
 
-/// Parse one spec parameter as a double; the whole token must be consumed.
-/// strtod instead of stod so subnormal values parse (stod throws on ERANGE
-/// underflow, which would break the spec() round trip); overflow yields an
-/// infinity, rejected by the finiteness check.
-double parse_number(const std::string& spec, const std::string& token) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const double value = std::strtod(begin, &end);
-  if (token.empty() || end != begin + token.size() || !std::isfinite(value)) {
-    throw InvalidArgument("bad number '" + token + "' in distribution spec '" +
-                          spec + "'");
-  }
-  return value;
-}
-
-std::vector<double> parse_params(const std::string& spec,
-                                 const std::string& rest,
-                                 std::size_t expected) {
-  std::vector<double> params;
-  std::size_t start = 0;
-  while (start <= rest.size()) {
-    const std::size_t comma = rest.find(',', start);
-    const std::size_t end = comma == std::string::npos ? rest.size() : comma;
-    params.push_back(parse_number(spec, rest.substr(start, end - start)));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (params.size() != expected) {
-    throw InvalidArgument("distribution spec '" + spec + "' expects " +
-                          std::to_string(expected) + " parameter(s), got " +
-                          std::to_string(params.size()));
-  }
-  return params;
-}
-
 }  // namespace
 
 DistributionPtr make_constant(double value) {
@@ -515,62 +477,71 @@ DistributionPtr make_hyperexponential(double p, double lambda1,
   return std::make_shared<HyperexponentialLaw>(p, lambda1, lambda2);
 }
 
-DistributionPtr parse_distribution(const std::string& spec) {
+namespace {
+
+/// One spec family: its name, its parameter count and its factory, in the
+/// order the unknown-family diagnostic lists them.
+struct Family {
+  std::string_view name;
+  std::size_t arity;
+  DistributionPtr (*make)(const double* p);
+};
+
+constexpr Family kFamilies[] = {
+    {"const", 1, [](const double* p) { return make_constant(p[0]); }},
+    {"exp", 1, [](const double* p) { return make_exponential_rate(p[0]); }},
+    {"expmean", 1, [](const double* p) { return make_exponential_mean(p[0]); }},
+    {"uniform", 2, [](const double* p) { return make_uniform(p[0], p[1]); }},
+    {"gauss", 2,
+     [](const double* p) { return make_truncated_normal(p[0], p[1]); }},
+    {"gamma", 2, [](const double* p) { return make_gamma(p[0], p[1]); }},
+    {"beta", 3, [](const double* p) { return make_beta(p[0], p[1], p[2]); }},
+    {"weibull", 2, [](const double* p) { return make_weibull(p[0], p[1]); }},
+    {"lognormal", 2,
+     [](const double* p) { return make_lognormal(p[0], p[1]); }},
+    {"pareto", 2, [](const double* p) { return make_pareto(p[0], p[1]); }},
+    {"hyperexp", 3,
+     [](const double* p) { return make_hyperexponential(p[0], p[1], p[2]); }},
+};
+
+}  // namespace
+
+DistributionPtr parse_distribution(std::string_view spec) {
+  const std::string quoted = "distribution spec '" + std::string(spec) + "'";
   const std::size_t colon = spec.find(':');
-  if (colon == std::string::npos || colon == 0) {
-    throw InvalidArgument("distribution spec '" + spec +
-                          "' is not of the form family:param[,param...]");
+  if (colon == std::string_view::npos || colon == 0) {
+    throw InvalidArgument(quoted +
+                          " is not of the form family:param[,param...]");
   }
-  const std::string family = spec.substr(0, colon);
-  const std::string rest = spec.substr(colon + 1);
-  auto params = [&](std::size_t expected) {
-    return parse_params(spec, rest, expected);
-  };
-  if (family == "const") {
-    return make_constant(params(1)[0]);
+  const std::string_view name = spec.substr(0, colon);
+  const auto family = std::ranges::find(kFamilies, name, &Family::name);
+  if (family == std::end(kFamilies)) {
+    std::string known;
+    for (const Family& f : kFamilies)
+      known += (known.empty() ? "" : ", ") + std::string(f.name);
+    throw InvalidArgument("unknown distribution family '" + std::string(name) +
+                          "' in spec '" + std::string(spec) + "' (known: " +
+                          known + ")");
   }
-  if (family == "exp") {
-    return make_exponential_rate(params(1)[0]);
+  // Each comma-separated parameter is one common/text_reader number.
+  std::vector<double> params;
+  for (std::string_view rest = spec.substr(colon + 1);;) {
+    const std::size_t comma = rest.find(',');
+    const std::string_view token = rest.substr(0, comma);
+    if (const char* why = parse_number(token, params.emplace_back())) {
+      throw InvalidArgument("bad number '" + std::string(token) + "' in " +
+                            quoted + " (" + why + ")");
+    }
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
   }
-  if (family == "expmean") {
-    return make_exponential_mean(params(1)[0]);
+  if (params.size() != family->arity) {
+    throw InvalidArgument(quoted + " expects " +
+                          std::to_string(family->arity) +
+                          " parameter(s), got " +
+                          std::to_string(params.size()));
   }
-  if (family == "uniform") {
-    const auto p = params(2);
-    return make_uniform(p[0], p[1]);
-  }
-  if (family == "gauss") {
-    const auto p = params(2);
-    return make_truncated_normal(p[0], p[1]);
-  }
-  if (family == "gamma") {
-    const auto p = params(2);
-    return make_gamma(p[0], p[1]);
-  }
-  if (family == "beta") {
-    const auto p = params(3);
-    return make_beta(p[0], p[1], p[2]);
-  }
-  if (family == "weibull") {
-    const auto p = params(2);
-    return make_weibull(p[0], p[1]);
-  }
-  if (family == "lognormal") {
-    const auto p = params(2);
-    return make_lognormal(p[0], p[1]);
-  }
-  if (family == "pareto") {
-    const auto p = params(2);
-    return make_pareto(p[0], p[1]);
-  }
-  if (family == "hyperexp") {
-    const auto p = params(3);
-    return make_hyperexponential(p[0], p[1], p[2]);
-  }
-  throw InvalidArgument(
-      "unknown distribution family '" + family + "' in spec '" + spec +
-      "' (known: const, exp, expmean, uniform, gauss, gamma, beta, weibull, "
-      "lognormal, pareto, hyperexp)");
+  return family->make(params.data());
 }
 
 }  // namespace streamflow

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
@@ -128,8 +129,10 @@ DistributionPtr make_hyperexponential(double p, double lambda1,
 ///   const:V          exp:RATE          expmean:MEAN      uniform:LO,HI
 ///   gauss:MU,SIGMA   gamma:SHAPE,SCALE beta:A,B,SCALE    weibull:SHAPE,SCALE
 ///   lognormal:MU,SIGMA   pareto:SHAPE,MIN   hyperexp:P,LAMBDA1,LAMBDA2
-/// Throws InvalidArgument on unknown families, wrong arity, or malformed
-/// numbers; parameter validation is the factories'.
-DistributionPtr parse_distribution(const std::string& spec);
+/// Each parameter is one decimal double in the common/text_reader.hpp
+/// grammar (no spaces, '+', hex, inf/nan or out-of-range values). Throws
+/// InvalidArgument on unknown families, wrong arity, or malformed numbers;
+/// parameter validation is the factories'.
+DistributionPtr parse_distribution(std::string_view spec);
 
 }  // namespace streamflow

@@ -1,8 +1,10 @@
 #include "fuzz/corpus.hpp"
 
 #include <array>
+#include <optional>
 #include <sstream>
 
+#include "common/text_reader.hpp"
 #include "model/serialization.hpp"
 
 namespace streamflow {
@@ -127,93 +129,54 @@ void save_scenario(std::ostream& os, const Scenario& scenario) {
   os << "end-instance\n";
 }
 
-Scenario load_scenario(std::istream& is) {
-  std::string line;
-  int line_number = 0;
-  auto next_line = [&]() -> std::string {
-    while (std::getline(is, line)) {
-      ++line_number;
-      const auto hash = line.find('#');
-      std::string stripped = line;
-      if (hash != std::string::npos) stripped.erase(hash);
-      if (stripped.find_first_not_of(" \t\r") == std::string::npos) continue;
-      return stripped;
-    }
-    throw InvalidArgument("scenario parse error at line " +
-                          std::to_string(line_number) +
-                          ": unexpected end of input");
-  };
-  auto fail = [&](const std::string& what) -> void {
-    throw InvalidArgument("scenario parse error at line " +
-                          std::to_string(line_number) + ": " + what);
-  };
-
-  if (next_line().rfind("streamflow-scenario", 0) != 0)
-    fail("missing 'streamflow-scenario v1' header");
-
-  std::uint64_t id = 0;
-  std::string regime_name, law_spec, model_name;
-  bool have_id = false, have_regime = false, have_law = false,
-       have_model = false;
-  for (;;) {
-    const std::string entry = next_line();
-    std::istringstream ss(entry);
-    std::string keyword;
-    ss >> keyword;
-    if (keyword == "id") {
-      if (!(ss >> id)) fail("bad id line");
-      have_id = true;
-    } else if (keyword == "regime") {
-      if (!(ss >> regime_name)) fail("bad regime line");
-      have_regime = true;
-    } else if (keyword == "law") {
-      if (!(ss >> law_spec)) fail("bad law line");
-      have_law = true;
-    } else if (keyword == "model") {
-      if (!(ss >> model_name)) fail("bad model line");
-      have_model = true;
-    } else if (keyword == "instance") {
-      break;
-    } else {
-      fail("unknown keyword '" + keyword + "'");
-    }
-  }
-  if (!have_id || !have_regime || !have_law || !have_model)
-    fail("missing id/regime/law/model before the instance block");
-
-  // The instance block is passed to model/serialization verbatim (no
-  // comment stripping here — the instance parser owns its own grammar).
-  std::string instance_text;
-  bool closed = false;
-  while (std::getline(is, line)) {
-    ++line_number;
-    std::string stripped = line;
-    if (!stripped.empty() && stripped.back() == '\r') stripped.pop_back();
-    if (stripped == "end-instance") {
-      closed = true;
-      break;
-    }
-    instance_text += line;
-    instance_text += '\n';
-  }
-  if (!closed) fail("missing 'end-instance'");
-
-  Scenario scenario{id, parse_regime(regime_name),
-                    instance_from_string(instance_text),
-                    parse_distribution(law_spec),
-                    parse_model_token(model_name)};
-  return scenario;
-}
-
 std::string scenario_to_string(const Scenario& scenario) {
   std::ostringstream os;
   save_scenario(os, scenario);
   return os.str();
 }
 
-Scenario scenario_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load_scenario(is);
+Scenario scenario_from_string(std::string_view text) {
+  TextReader reader(text, "scenario");
+  if (!reader.next_line() || !reader.line().starts_with("streamflow-scenario"))
+    reader.fail("missing 'streamflow-scenario v1' header");
+
+  std::optional<std::uint64_t> id;
+  std::string_view regime_name, law_spec, model_name;
+  for (std::string_view keyword; keyword != "instance";) {
+    if (!reader.next_line()) reader.fail("unexpected end of input");
+    keyword = reader.token();
+    if (keyword == "id") {
+      id = reader.number<std::uint64_t>("id");
+    } else if (keyword != "instance") {
+      std::string_view* value = keyword == "regime"  ? &regime_name
+                                : keyword == "law"   ? &law_spec
+                                : keyword == "model" ? &model_name
+                                                     : nullptr;
+      if (value == nullptr)
+        reader.fail("unknown keyword '" + std::string(keyword) + "'");
+      *value = reader.token();
+    }
+    reader.expect_line_end(keyword);
+  }
+  if (!id || regime_name.empty() || law_spec.empty() || model_name.empty())
+    reader.fail("missing id/regime/law/model before the instance block");
+
+  // The instance block runs up to the 'end-instance' line and goes to
+  // model/serialization whole (the instance parser owns its own grammar).
+  const std::size_t block_begin = reader.offset();
+  std::size_t block_end = block_begin;
+  while (reader.line() != "end-instance") {
+    block_end = reader.offset();
+    if (!reader.next_line()) reader.fail("missing 'end-instance'");
+  }
+  if (reader.next_line()) reader.fail("content after 'end-instance'");
+
+  Scenario scenario{*id, parse_regime(std::string(regime_name)),
+                    instance_from_string(
+                        text.substr(block_begin, block_end - block_begin)),
+                    parse_distribution(law_spec),
+                    parse_model_token(std::string(model_name))};
+  return scenario;
 }
 
 }  // namespace streamflow

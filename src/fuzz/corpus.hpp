@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "dist/distribution.hpp"
 #include "model/mapping.hpp"
@@ -90,11 +91,11 @@ RandomInstanceOptions regime_instance_options(ScenarioRegime regime,
                                               Prng& prng);
 
 /// Scenario serialization: a small header (id, regime, law, model) followed
-/// by the embedded model/serialization instance block. emit -> parse ->
-/// emit is byte-stable.
+/// by the embedded model/serialization instance block, closed by an
+/// 'end-instance' line that only comments and blank lines may follow.
+/// emit -> parse -> emit is byte-stable.
 void save_scenario(std::ostream& os, const Scenario& scenario);
-Scenario load_scenario(std::istream& is);
 std::string scenario_to_string(const Scenario& scenario);
-Scenario scenario_from_string(const std::string& text);
+Scenario scenario_from_string(std::string_view text);
 
 }  // namespace streamflow

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/text_reader.hpp"
+
 namespace streamflow {
 
 void save_instance(std::ostream& os, const Mapping& mapping) {
@@ -36,110 +38,69 @@ void save_instance(std::ostream& os, const Mapping& mapping) {
   }
 }
 
-namespace {
-
-[[noreturn]] void fail(int line, const std::string& what) {
-  throw InvalidArgument("instance parse error at line " +
-                        std::to_string(line) + ": " + what);
-}
-
-}  // namespace
-
-Mapping load_instance(std::istream& is) {
-  std::string line;
-  int line_number = 0;
-  auto next_line = [&]() -> std::optional<std::string> {
-    while (std::getline(is, line)) {
-      ++line_number;
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.erase(hash);
-      // Skip blank lines.
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      return line;
-    }
-    return std::nullopt;
-  };
-
-  auto header = next_line();
-  if (!header || header->rfind("streamflow-instance", 0) != 0)
-    fail(line_number, "missing 'streamflow-instance v1' header");
+Mapping instance_from_string(std::string_view text) {
+  TextReader reader(text, "instance");
+  if (!reader.next_line() || !reader.line().starts_with("streamflow-instance"))
+    reader.fail("missing 'streamflow-instance v1' header");
 
   std::optional<std::size_t> num_stages, num_processors;
   std::vector<double> works, files, speeds;
   std::vector<std::tuple<std::size_t, std::size_t, double>> links;
   std::map<std::size_t, std::vector<std::size_t>> teams;
 
-  // Every line must be consumed completely: a token the value parser cannot
-  // read ("works 1 2 x") is a corrupt file, not ignorable trailing noise —
-  // silently dropping it would truncate the list and shift the blame to the
-  // count checks below (or worse, pass them with wrong data).
-  auto expect_line_end = [&](std::istringstream& ss, const char* what) {
-    ss.clear();
-    std::string rest;
-    if (ss >> rest) {
-      fail(line_number, std::string("trailing token '") + rest + "' on " +
-                            what + " line");
-    }
+  // Every line is read to its end: a token left over ("works 1 2 x") is a
+  // corrupt file, not noise to drop (which would truncate the list).
+  const auto read_list = [&reader](std::vector<double>& out,
+                                   const char* what) {
+    while (!reader.at_line_end()) out.push_back(reader.number<double>(what));
+  };
+  const auto read_count = [&reader](const char* what) {
+    const auto n = reader.number<std::size_t>(what);
+    reader.expect_line_end(what);
+    if (n == 0) reader.fail(std::string("bad ") + what + " (must be positive)");
+    return n;
   };
 
-  while (auto maybe = next_line()) {
-    std::istringstream ss(*maybe);
-    std::string keyword;
-    ss >> keyword;
+  while (reader.next_line()) {
+    const std::string_view keyword = reader.token();
     if (keyword == "stages") {
-      std::size_t n = 0;
-      if (!(ss >> n) || n == 0) fail(line_number, "bad stage count");
-      num_stages = n;
-      expect_line_end(ss, "stages");
+      num_stages = read_count("stage count");
     } else if (keyword == "works") {
-      double w;
-      while (ss >> w) works.push_back(w);
-      expect_line_end(ss, "works");
+      read_list(works, "work");
     } else if (keyword == "files") {
-      double d;
-      while (ss >> d) files.push_back(d);
-      expect_line_end(ss, "files");
+      read_list(files, "file size");
     } else if (keyword == "processors") {
-      std::size_t m = 0;
-      if (!(ss >> m) || m == 0) fail(line_number, "bad processor count");
-      num_processors = m;
-      expect_line_end(ss, "processors");
+      num_processors = read_count("processor count");
     } else if (keyword == "speeds") {
-      double s;
-      while (ss >> s) speeds.push_back(s);
-      expect_line_end(ss, "speeds");
+      read_list(speeds, "speed");
     } else if (keyword == "link") {
-      std::size_t p, q;
-      double b;
-      if (!(ss >> p >> q >> b)) fail(line_number, "bad link line");
-      links.emplace_back(p, q, b);
-      expect_line_end(ss, "link");
+      const auto p = reader.number<std::size_t>("link processor");
+      const auto q = reader.number<std::size_t>("link processor");
+      links.emplace_back(p, q, reader.number<double>("bandwidth"));
+      reader.expect_line_end("link");
     } else if (keyword == "team") {
-      std::size_t stage;
-      if (!(ss >> stage)) fail(line_number, "bad team line");
+      const auto stage = reader.number<std::size_t>("team stage");
       std::vector<std::size_t> members;
-      std::size_t p;
-      while (ss >> p) members.push_back(p);
-      if (members.empty()) fail(line_number, "empty team");
-      expect_line_end(ss, "team");
+      while (!reader.at_line_end())
+        members.push_back(reader.number<std::size_t>("team processor"));
+      if (members.empty()) reader.fail("empty team");
       if (!teams.emplace(stage, std::move(members)).second)
-        fail(line_number, "duplicate team for stage " + std::to_string(stage));
+        reader.fail("duplicate team for stage " + std::to_string(stage));
     } else {
-      fail(line_number, "unknown keyword '" + keyword + "'");
+      reader.fail("unknown keyword '" + std::string(keyword) + "'");
     }
   }
 
-  if (!num_stages) fail(line_number, "missing 'stages'");
-  if (!num_processors) fail(line_number, "missing 'processors'");
+  if (!num_stages) reader.fail("missing 'stages'");
+  if (!num_processors) reader.fail("missing 'processors'");
   if (works.size() != *num_stages)
-    fail(line_number, "expected " + std::to_string(*num_stages) + " works");
+    reader.fail("expected " + std::to_string(*num_stages) + " works");
   if (files.size() + 1 != *num_stages)
-    fail(line_number, "expected " + std::to_string(*num_stages - 1) + " files");
+    reader.fail("expected " + std::to_string(*num_stages - 1) + " files");
   if (speeds.size() != *num_processors)
-    fail(line_number,
-         "expected " + std::to_string(*num_processors) + " speeds");
+    reader.fail("expected " + std::to_string(*num_processors) + " speeds");
   if (teams.size() != *num_stages)
-    fail(line_number, "expected one team per stage");
+    reader.fail("expected one team per stage");
 
   try {
     Application app(works, files);
@@ -148,7 +109,7 @@ Mapping load_instance(std::istream& is) {
     std::vector<std::vector<std::size_t>> team_list(*num_stages);
     for (auto& [stage, members] : teams) {
       if (stage >= *num_stages)
-        fail(line_number, "team stage index out of range");
+        reader.fail("team stage index out of range");
       team_list[stage] = std::move(members);
     }
     // One shared allocation: everything derived from the loaded mapping
@@ -165,11 +126,6 @@ std::string instance_to_string(const Mapping& mapping) {
   std::ostringstream os;
   save_instance(os, mapping);
   return os.str();
-}
-
-Mapping instance_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load_instance(is);
 }
 
 }  // namespace streamflow

@@ -1,9 +1,7 @@
 #include "serve/protocol.hpp"
 
-#include <charconv>
-#include <system_error>
-
 #include "common/error.hpp"
+#include "common/text_reader.hpp"
 
 namespace streamflow {
 
@@ -205,19 +203,11 @@ std::uint64_t FlatRequest::take_u64_or(const std::string& key,
                                        std::uint64_t fallback) {
   const JsonValue* value = take(key, JsonValue::Kind::kNumber, "number");
   if (value == nullptr) return fallback;
-  const std::string& text = value->text;
-  const auto reject = [&key, &text](const char* why) {
-    throw InvalidArgument("field \"" + key + "\" must be a nonnegative "
-                          "integer (got '" + text + "': " + why + ")");
-  };
-  if (!text.empty() && text.front() == '-') reject("negative");
   std::uint64_t parsed = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, parsed);
-  if (error == std::errc::invalid_argument || stop != end) {
-    reject("not an integer");
+  if (const char* why = parse_number(value->text, parsed)) {
+    throw InvalidArgument("field \"" + key + "\" must be a nonnegative "
+                          "integer (got '" + value->text + "': " + why + ")");
   }
-  if (error == std::errc::result_out_of_range) reject("out of range");
   return parsed;
 }
 

@@ -70,6 +70,10 @@ TEST(ParseDistribution, MalformedSpecsThrow) {
       "uniform:-1,1",     // negative support
       "gauss:-50,1",      // negligible mass above zero
       "nope:1",           // unknown family
+      "exp: 2",           // leading space (strtod skipped it)
+      "exp:+2",           // leading '+'
+      "exp:0x10",         // hex (strtod read it as 16)
+      "const:1e-400",     // underflows to 0 (strtod returned 0)
   };
   for (const char* spec : bad) {
     EXPECT_THROW(parse_distribution(spec), InvalidArgument) << spec;

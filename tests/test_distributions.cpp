@@ -139,6 +139,12 @@ TEST(ParseDistribution, RoundTripsAndValidates) {
   EXPECT_THROW(parse_distribution("exp:abc"), InvalidArgument);
   EXPECT_THROW(parse_distribution("uniform:3,1"), InvalidArgument);
   EXPECT_THROW(parse_distribution("const:-1"), InvalidArgument);
+  // A subnormal parameter prints in the shortest form that round-trips,
+  // like any other (it printed all 17 digits while the round-trip check
+  // was std::stod, which raises ERANGE on subnormals).
+  const double tiny = 4.9406564584124654e-324;
+  EXPECT_EQ(make_constant(tiny)->spec(), "const:4.94066e-324");
+  EXPECT_EQ(parse_distribution("const:4.94066e-324")->mean(), tiny);
 }
 
 TEST(Distributions, ParameterValidation) {

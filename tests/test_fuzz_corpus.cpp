@@ -126,6 +126,9 @@ TEST(FuzzCorpus, MalformedScenarioDiagnostics) {
   corrupt("law const:1", "law klingon:1");            // unknown law
   corrupt("model overlap", "model sometimes");        // unknown model
   corrupt("id 0", "id x");                            // bad id value
+  corrupt("id 0", "id -1");     // negative id (istream >> wrapped it)
+  corrupt("id 0", "id 0 x");    // trailing token on a header line
+  corrupt("end-instance\n", "end-instance\nstray\n");  // after the block
   corrupt("end-instance", "");                        // unterminated block
   corrupt("regime baseline", "vibe baseline");        // unknown keyword
 

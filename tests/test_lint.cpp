@@ -5,7 +5,8 @@
 // tests/fixtures/lint/ (which the tree scan deliberately skips) — and every
 // firing site is silenced by a well-formed `lint:allow(<rule>): <reason>`
 // comment. Policy carve-outs (bench/ wall-clock exemption, src/-only float
-// ban, header-only rules, the annotated mutex wrapper itself) are pinned
+// ban, header-only rules, the annotated mutex wrapper itself, the text
+// reader and the test-side number references) are pinned
 // here too, so a refactor of the engine cannot silently widen or narrow a
 // rule.
 #include "lint_rules.hpp"
@@ -119,6 +120,34 @@ TEST(Lint, RawMutexExemptInsideTheAnnotatedWrapper) {
   EXPECT_EQ(fired, expected);
 }
 
+TEST(Lint, NumberParseFiresInSrcAndTools) {
+  const Fired expected = {{"number-parse", 6},
+                          {"number-parse", 7},
+                          {"number-parse", 8},
+                          {"number-parse", 9},
+                          {"number-parse", 10}};
+  EXPECT_EQ(fire_fixture("src/model/number_parse.cpp", "number_parse.cpp"),
+            expected);
+  EXPECT_EQ(fire_fixture("tools/number_parse.cpp", "number_parse.cpp"),
+            expected);
+}
+
+TEST(Lint, NumberParseAllowSuppresses) {
+  EXPECT_TRUE(fire_fixture("src/model/number_parse_allowed.cpp",
+                           "number_parse_allowed.cpp")
+                  .empty());
+}
+
+TEST(Lint, NumberParseExemptInTestsBenchAndTheReader) {
+  // tests/support/ and bench/ hold the strtod / stream references the
+  // reader is checked against; the reader itself owns the grammar.
+  for (const char* path : {"tests/support/number_reference.cpp",
+                           "bench/number_parse.cpp",
+                           "src/common/text_reader.cpp"}) {
+    EXPECT_TRUE(fire_fixture(path, "number_parse.cpp").empty()) << path;
+  }
+}
+
 TEST(Lint, AllowSyntaxFiresOnUnknownRuleAndMissingReason) {
   const Fired fired =
       fire_fixture("tools/allow_syntax.cpp", "allow_syntax.cpp");
@@ -139,7 +168,7 @@ TEST(Lint, RulesTableIsCompleteAndQueriable) {
   const std::set<std::string> expected = {
       "wall-clock",        "ambient-entropy",        "float-type",
       "unordered-iter",    "header-pragma-once",     "using-namespace-header",
-      "raw-mutex",         "allow-syntax",
+      "raw-mutex",         "number-parse",           "allow-syntax",
   };
   std::set<std::string> listed;
   for (const RuleInfo& rule : rules()) {
@@ -163,6 +192,7 @@ TEST(Lint, EveryAdvertisedRuleFiresOnSomeFixture) {
       {"src/common/header_pragma_once.hpp", "header_pragma_once.hpp"},
       {"src/core/using_namespace.hpp", "using_namespace.hpp"},
       {"src/engine/raw_mutex.cpp", "raw_mutex.cpp"},
+      {"src/model/number_parse.cpp", "number_parse.cpp"},
       {"tools/allow_syntax.cpp", "allow_syntax.cpp"},
   };
   std::set<std::string> fired;

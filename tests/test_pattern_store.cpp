@@ -383,8 +383,7 @@ TEST(PatternStoreSnapshot, RoundTripIsByteStableAndDigestEqual) {
   // Load into a store with a DIFFERENT shard count: the snapshot is
   // canonical, so shard topology must be invisible.
   PatternStore reloaded(7);
-  std::istringstream in(first.str());
-  EXPECT_EQ(reloaded.load(in), 5u);
+  EXPECT_EQ(reloaded.load(first.str()), 5u);
   EXPECT_EQ(reloaded.digest(), store.digest());
   for (std::uint64_t k = 0; k < 5; ++k) {
     const auto hit = reloaded.lookup(synthetic_signature(k));
@@ -406,8 +405,7 @@ TEST(PatternStoreSnapshot, LoadMergesAndRejectsConflicts) {
   // Merging into a store that already agrees: counted as a duplicate.
   PatternStore agreeing(2);
   agreeing.publish(synthetic_signature(1), synthetic_rate(1));
-  std::istringstream in_agree(snapshot.str());
-  EXPECT_EQ(agreeing.load(in_agree), 1u);
+  EXPECT_EQ(agreeing.load(snapshot.str()), 1u);
   EXPECT_EQ(agreeing.size(), 1u);
   EXPECT_EQ(agreeing.stats().duplicates, 1u);
 
@@ -415,8 +413,7 @@ TEST(PatternStoreSnapshot, LoadMergesAndRejectsConflicts) {
   // violated somewhere — refuse.
   PatternStore disagreeing(2);
   disagreeing.publish(synthetic_signature(1), synthetic_rate(1) + 1e-9);
-  std::istringstream in_conflict(snapshot.str());
-  EXPECT_THROW(disagreeing.load(in_conflict), InvalidArgument);
+  EXPECT_THROW(disagreeing.load(snapshot.str()), InvalidArgument);
 }
 
 TEST(PatternStoreSnapshot, NegativeFixturesAreRejectedWithDiagnostics) {
@@ -438,6 +435,12 @@ TEST(PatternStoreSnapshot, NegativeFixturesAreRejectedWithDiagnostics) {
   EXPECT_NE(message_of("truncated.snapshot").find("truncated"),
             std::string::npos);
   EXPECT_NE(message_of("corrupt_digest.snapshot").find("digest mismatch"),
+            std::string::npos);
+  // Hex bit patterns are 1-16 hex digits: no sign and no 0x. std::stoull
+  // read "-1" as ffffffffffffffff and "0x12" as 12, and the fixture's
+  // digest matches that reading, so it used to load without a word.
+  EXPECT_NE(message_of("signed_hex.snapshot")
+                .find("line 3, column 13: malformed duration bits"),
             std::string::npos);
 }
 

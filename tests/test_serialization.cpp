@@ -63,6 +63,37 @@ TEST(Serialization, DiagnosesMalformedInput) {
   const auto pos = twisted.find("team 1");
   twisted.replace(pos, std::string("team 1 1").size(), "team 1 0");
   EXPECT_THROW(instance_from_string(twisted), InvalidArgument);
+
+  // Numbers read as whole tokens, with the line, column and reason. The
+  // first two used to load as processor 1 (istream >> size_t wraps a
+  // negative and skips a '+'); the overflow used to surface as a count
+  // mismatch ("expected 2 works").
+  const auto diagnosis = [&base](const std::string& from,
+                                 const std::string& to) {
+    std::string text = base;
+    text.replace(text.find(from), from.size(), to);
+    try {
+      instance_from_string(text);
+    } catch (const InvalidArgument& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(diagnosis("team 1 1", "team 1 -18446744073709551615"),
+            "instance parse error at line 9, column 8: bad team processor "
+            "'-18446744073709551615' (negative)");
+  EXPECT_EQ(diagnosis("team 1 1", "team 1 +1"),
+            "instance parse error at line 9, column 8: bad team processor "
+            "'+1' (not an integer)");
+  EXPECT_EQ(diagnosis("works 1 1", "works 1 1e999"),
+            "instance parse error at line 3, column 9: bad work '1e999' (out "
+            "of range)");
+  EXPECT_EQ(diagnosis("works 1 1", "works 1 inf"),
+            "instance parse error at line 3, column 9: bad work 'inf' (not "
+            "finite)");
+  EXPECT_EQ(diagnosis("works 1 1", "works 1 nan"),
+            "instance parse error at line 3, column 9: bad work 'nan' (not "
+            "finite)");
 }
 
 // Round-trip fuzz over every corpus regime knob setting: emit -> parse ->

@@ -74,6 +74,19 @@ for config in "${configs[@]}"; do
   fi
 done
 
+# Sanitizer stage, mirroring the parse steps of the address-sanitizer CI
+# job: the text reader and the byte-mutation parse fuzzer run under
+# ASan/UBSan, so a mutated input that reads out of bounds fails even when
+# the right exception comes out.
+echo "==> asan/ubsan: text reader + parse fuzzer"
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
+    -DSTREAMFLOW_BUILD_BENCH=OFF -DSTREAMFLOW_BUILD_EXAMPLES=OFF
+cmake --build build-asan -j "${jobs}" --target test_text_reader test_parse_fuzz
+ctest --test-dir build-asan -R "test_text_reader|test_parse_fuzz" \
+    --output-on-failure
+
 # Static-analysis stage, mirroring the clang-static-analysis CI job. Each
 # tool is availability-gated (with a loud skip notice) so the script stays
 # runnable on gcc-only boxes: the thread-safety annotations compile as

@@ -1,13 +1,14 @@
 # End-to-end smoke test for streamflow_cli, run by CTest as
-#   cmake -DCLI=<binary> -DWORK_DIR=<scratch dir> -P cli_smoke.cmake
+#   cmake -DCLI=<binary> -DWORK_DIR=<scratch dir>
+#         -DFIXTURE_DIR=<repo>/tests/fixtures -P cli_smoke.cmake
 # Exercises --help plus the example -> analyze -> simulate -> export-tpn
 # round trip on a generated instance file, the parallel search/batch paths,
 # and the argument checks. --help and the parser read the same flag table,
 # so the help text cannot miss a flag.
 
-if(NOT DEFINED CLI OR NOT DEFINED WORK_DIR)
+if(NOT DEFINED CLI OR NOT DEFINED WORK_DIR OR NOT DEFINED FIXTURE_DIR)
   message(FATAL_ERROR "usage: cmake -DCLI=<binary> -DWORK_DIR=<dir> "
-                      "-P cli_smoke.cmake")
+                      "-DFIXTURE_DIR=<tests/fixtures> -P cli_smoke.cmake")
 endif()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -265,21 +266,29 @@ endif()
 # Pattern-store snapshot round trip: a --shared-store search saves a
 # snapshot, a second search warm-starts from it (any --threads), and the
 # result must be byte-identical to the storeless baseline — the store and
-# its persistence may change speed, never bytes. The transient store
-# reporting lines are stripped before comparing (they are new output, not
-# changed output).
-run_cli(0 nostore_out search "${instance}" --objective exp --restarts 4
+# its persistence may change speed, never bytes. It runs on the
+# heterogeneous serve fixture, whose patterns are not all homogeneous, so
+# the snapshot stores rates and the reader parses every row back. The
+# transient store reporting lines are stripped before comparing (they are
+# new output, not changed output).
+set(het_instance "${FIXTURE_DIR}/serve/het.inst")
+run_cli(0 nostore_out search "${het_instance}" --objective exp --restarts 4
         --seed 3)
-run_cli(0 save_out search "${instance}" --objective exp --restarts 4
+run_cli(0 save_out search "${het_instance}" --objective exp --restarts 4
         --seed 3 --shared-store
         --cache-save "${WORK_DIR}/patterns.snapshot")
-if(NOT save_out MATCHES "pattern store:" OR
+if(NOT save_out MATCHES "pattern store: [1-9][0-9]* entries" OR
    NOT EXISTS "${WORK_DIR}/patterns.snapshot")
-  message(FATAL_ERROR "--cache-save did not write a snapshot:\n${save_out}")
+  message(FATAL_ERROR "--cache-save did not write a non-empty snapshot:\n"
+                      "${save_out}")
 endif()
-run_cli(0 load_out search "${instance}" --objective exp --restarts 4
+run_cli(0 load_out search "${het_instance}" --objective exp --restarts 4
         --seed 3 --shared-store --threads 4
         --cache-load "${WORK_DIR}/patterns.snapshot")
+if(NOT load_out MATCHES "warm-started")
+  message(FATAL_ERROR "--cache-load did not warm-start the store:\n"
+                      "${load_out}")
+endif()
 foreach(var nostore_out save_out load_out)
   string(REGEX REPLACE "\npattern store:[^\n]*" "" ${var}_strip "${${var}}")
   string(REGEX REPLACE "on [0-9]+ worker" "on N worker"
@@ -376,7 +385,8 @@ if(DEFINED LINT)
   # same ids can actually fire.
   run_lint(0 lint_rules_out --list-rules)
   foreach(rule wall-clock ambient-entropy float-type unordered-iter
-          header-pragma-once using-namespace-header raw-mutex allow-syntax)
+          header-pragma-once using-namespace-header raw-mutex number-parse
+          allow-syntax)
     if(NOT lint_rules_out MATCHES "${rule}")
       message(FATAL_ERROR "--list-rules is missing rule '${rule}':\n${lint_rules_out}")
     endif()

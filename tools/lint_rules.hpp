@@ -65,6 +65,10 @@ inline const std::vector<RuleInfo>& rules() {
       {"raw-mutex",
        "raw std::mutex/condition_variable/lock types are banned — use the "
        "annotated streamflow::Mutex/MutexLock/CondVar (common/mutex.hpp)"},
+      {"number-parse",
+       "src/ and tools/ read text only through common/text_reader.hpp: no "
+       "C-library or string-stream number parsing outside it (tests/ and "
+       "bench/ keep the references)"},
       {"allow-syntax",
        "lint:allow comments must name a known rule and carry ': <reason>'"},
   };
@@ -289,6 +293,9 @@ inline std::vector<Violation> lint_content(const std::string& path,
   const bool in_bench = starts_with(path, "bench/");
   const bool in_src = starts_with(path, "src/");
   const bool is_mutex_wrapper = path == "src/common/mutex.hpp";
+  const bool reads_numbers_through_reader =
+      (in_src || starts_with(path, "tools/")) &&
+      !starts_with(path, "src/common/text_reader.");
 
   auto report = [&](std::size_t line_no, const std::string& rule,
                     const std::string& message) {
@@ -327,6 +334,9 @@ inline std::vector<Violation> lint_content(const std::string& path,
       R"re(|condition_variable(_any)?)re"
       R"re(|lock_guard|unique_lock|scoped_lock|shared_lock)\b)re");
   static const std::regex kUsingNamespace(R"re(^\s*using\s+namespace\b)re");
+  static const std::regex kNumberParse(
+      R"re(\b(strto(d|f|ld|l|ll|ul|ull|imax|umax)|ato(i|l|ll|f)|sscanf)\s*\()re"
+      R"re(|\bstd::sto(i|l|ll|ul|ull|f|d|ld)\s*\(|\bstd::i?stringstream\b)re");
 
   // Precompiled iteration patterns for every unordered name in this file:
   // range-for, and direct begin()/cbegin()/rbegin() iterator loops.
@@ -365,6 +375,12 @@ inline std::vector<Violation> lint_content(const std::string& path,
              "raw standard locking primitive — use streamflow::Mutex / "
              "MutexLock / CondVar (common/mutex.hpp) so the locking contract "
              "is statically checked");
+    }
+    if (reads_numbers_through_reader && std::regex_search(line, kNumberParse)) {
+      report(line_no, "number-parse",
+             "number or stream parsing outside common/text_reader.hpp — read "
+             "text with TextReader and numbers with parse_number/parse_hex, "
+             "so every format shares one grammar and one diagnostic");
     }
     if (is_header && std::regex_search(line, kUsingNamespace)) {
       report(line_no, "using-namespace-header",

@@ -1,6 +1,5 @@
 // streamflow — command-line analyzer; `streamflow_cli --help` documents it.
 #include <algorithm>
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "common/text_reader.hpp"
 #include "core/analysis_context.hpp"
 #include "core/analyzer.hpp"
 #include "core/heuristics.hpp"
@@ -164,9 +164,8 @@ struct Flag {
   std::function<bool(CliArgs&, std::string_view)> set;  // false = rejected
 };
 
-/// An integer flag of at least `min` (0 or 1). The whole token must parse
-/// and fit the field's type: whitespace, a '+', a '-' on an unsigned field,
-/// a fraction or an overflow rejects it rather than wrapping or truncating.
+/// An integer flag of at least `min` (0 or 1), read by parse_number: the
+/// whole token must be an integer that fits the field's type.
 template <typename Field>
 Flag integer(std::string_view name, std::string metavar, unsigned commands,
              Field CliArgs::*field, int min) {
@@ -177,9 +176,7 @@ Flag integer(std::string_view name, std::string metavar, unsigned commands,
           min == 0 ? "a non-negative integer" : "a positive integer",
           [field, min](CliArgs& args, std::string_view token) {
             Int value = 0;
-            const char* end = token.data() + token.size();
-            const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-            if (ec != std::errc() || ptr != end || std::cmp_less(value, min)) {
+            if (parse_number(token, value) || std::cmp_less(value, min)) {
               return false;
             }
             args.*field = value;
@@ -281,9 +278,7 @@ const Flag kFlags[] = {
 };
 
 Mapping load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw InvalidArgument("cannot open instance file '" + path + "'");
-  return load_instance(in);
+  return instance_from_string(read_text_file(path, "instance file"));
 }
 
 int cmd_analyze(const CliArgs& args) {
@@ -377,18 +372,13 @@ int cmd_simulate(const CliArgs& args) {
 }
 
 std::vector<std::string> read_scenarios(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw InvalidArgument("cannot open scenario file '" + path + "'");
+  const std::string text = read_text_file(path, "scenario file");
   const std::filesystem::path dir =
       std::filesystem::path(path).parent_path();
   std::vector<std::string> result;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t begin = line.find_first_not_of(" \t\r");
-    if (begin == std::string::npos || line[begin] == '#') continue;
-    const std::size_t end = line.find_last_not_of(" \t\r");
-    const std::string token = line.substr(begin, end - begin + 1);
-    const std::filesystem::path p(token);
+  TextReader reader(text, "scenario list");
+  while (reader.next_line()) {
+    const std::filesystem::path p(reader.line());
     result.push_back(p.is_absolute() ? p.string() : (dir / p).string());
   }
   if (result.empty()) {
