@@ -1,13 +1,12 @@
-// Small checked integer-math helpers used throughout the TPN and Young-diagram
-// analyses: gcd/lcm over ranges (with overflow detection — lcm of replication
-// factors is the TPN row count and can genuinely explode), and exact binomial
-// coefficients for the S(u,v) state-count formulas of Theorem 3.
+// Checked lcm over ranges: the lcm of the replication factors is the TPN row
+// count (§3.3) and can genuinely explode, so overflow throws instead of
+// wrapping.
 #pragma once
 
 #include <cstdint>
 #include <numeric>
 #include <span>
-#include <vector>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -32,67 +31,6 @@ inline std::int64_t checked_lcm(std::span<const std::int64_t> values) {
   std::int64_t acc = 1;
   for (std::int64_t v : values) acc = checked_lcm(acc, v);
   return acc;
-}
-
-inline std::int64_t checked_lcm(const std::vector<int>& values) {
-  SF_REQUIRE(!values.empty(), "lcm of empty range");
-  std::int64_t acc = 1;
-  for (int v : values) acc = checked_lcm(acc, static_cast<std::int64_t>(v));
-  return acc;
-}
-
-/// gcd of a whole range.
-inline std::int64_t gcd_range(std::span<const std::int64_t> values) {
-  std::int64_t acc = 0;
-  for (std::int64_t v : values) acc = std::gcd(acc, v);
-  return acc;
-}
-
-/// Exact binomial coefficient C(n, k); throws CapacityExceeded on overflow.
-/// Used for S(u,v) = C(u+v-1, u-1) * v (number of reachable markings of a
-/// u x v communication pattern, Theorem 3).
-inline std::int64_t binomial(std::int64_t n, std::int64_t k) {
-  SF_REQUIRE(n >= 0 && k >= 0, "binomial arguments must be non-negative");
-  if (k > n) return 0;
-  if (k > n - k) k = n - k;
-  std::int64_t result = 1;
-  for (std::int64_t i = 1; i <= k; ++i) {
-    // result * (n - k + i) / i is exact at every step, but the intermediate
-    // product can overflow; split via gcd first.
-    std::int64_t num = n - k + i;
-    std::int64_t den = i;
-    const std::int64_t g1 = std::gcd(result, den);
-    std::int64_t r = result / g1;
-    den /= g1;
-    const std::int64_t g2 = std::gcd(num, den);
-    num /= g2;
-    den /= g2;
-    SF_ASSERT(den == 1, "binomial internal reduction failed");
-    if (num != 0 && r > INT64_MAX / num) {
-      throw CapacityExceeded("binomial overflow: C(" + std::to_string(n) +
-                             ", " + std::to_string(k) + ")");
-    }
-    result = r * num;
-  }
-  return result;
-}
-
-/// Number of reachable markings of a u x v pattern (Theorem 3):
-///   S(u,v) = C(u+v-1, u-1) * v.
-inline std::int64_t young_state_count(std::int64_t u, std::int64_t v) {
-  SF_REQUIRE(u >= 1 && v >= 1, "pattern dimensions must be >= 1");
-  const std::int64_t c = binomial(u + v - 1, u - 1);
-  if (c > INT64_MAX / v) {
-    throw CapacityExceeded("S(u,v) overflow");
-  }
-  return c * v;
-}
-
-/// Number of markings enabling a fixed transition (Theorem 4):
-///   S'(u,v) = C(u+v-2, u-1) = S(u,v) / (u+v-1).
-inline std::int64_t young_enabled_count(std::int64_t u, std::int64_t v) {
-  SF_REQUIRE(u >= 1 && v >= 1, "pattern dimensions must be >= 1");
-  return binomial(u + v - 2, u - 1);
 }
 
 }  // namespace streamflow

@@ -68,6 +68,7 @@ Isa best_isa();
 
 /// Every concrete ISA available on this machine, scalar first — the
 /// byte-equality tests iterate this to pin each compiled path.
+// lint:allow(unused-api): names the machine's kernels next to their dispatch
 std::vector<Isa> available_isas();
 
 /// Resolve an ISA (including kAuto) to its kernels. SF_REQUIREs that the

@@ -15,6 +15,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Relative slack applied to a screening bound before comparing it to the
+/// adoption threshold: prune only when bound * (1 + kBoundSlack) <=
+/// threshold. Absorbs FP rounding between the bound arithmetic and the
+/// solver.
+constexpr double kBoundSlack = 1e-9;
+
 std::string component_label(std::size_t file_index, std::size_t component,
                             std::size_t u, std::size_t v) {
   std::ostringstream os;
@@ -372,7 +378,7 @@ AnalysisContext::MoveProbe AnalysisContext::probe_move(const MappingMove& move,
       if (t + 1 < n)
         scratch_stage_bounds_[t + 1] = candidate->stage_rate_bound(t + 1);
     }
-    const double slack = 1.0 + base_options_.bound_slack;
+    const double slack = 1.0 + kBoundSlack;
     double tier1 = kInf;
     for (const double s : scratch_stage_bounds_) tier1 = std::min(tier1, s);
     if (tier1 * slack <= threshold) {

@@ -155,7 +155,7 @@ class AnalysisContext {
   /// before solving, cheap admissible upper bounds on the candidate's score
   /// are compared against `threshold` — the score a candidate must STRICTLY
   /// exceed to matter to the caller — and the solve is skipped (kPruned)
-  /// whenever bound * (1 + bound_slack) <= threshold proves the candidate
+  /// whenever bound * (1 + 1e-9) <= threshold proves the candidate
   /// cannot exceed it. Tier 1 is the incremental per-stage cycle-time bound
   /// (Mapping::stage_rate_bound; O(touched-teams) against a cached base
   /// vector); tier 2, under BoundPolicy::kMctMaxplus with the exponential

@@ -18,6 +18,14 @@ namespace {
 constexpr std::size_t kUnassigned = Mapping::kUnused;
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+/// Relative initial temperature of the annealing acceptance rule (accept a
+/// candidate iff score > current * (1 + T_r * ln u), u ~ U(0,1)), cooled
+/// geometrically per synchronization round: T_r = 0.20 * 0.85^r.
+constexpr double kAnnealingInitialTemp = 0.20;
+constexpr double kAnnealingCooling = 0.85;
+/// Steps a reversing attribute (processor, origin stage) stays tabu.
+constexpr std::size_t kTabuTenure = 8;
+
 /// Assignment representation: stage index per processor (or kUnassigned).
 using Assignment = std::vector<std::size_t>;
 
@@ -158,40 +166,22 @@ Assignment initial_greedy_assignment(
 }
 
 /// Greedy construction: each remaining processor joins the team where it
-/// raises the objective most; when unused processors are not allowed, it is
-/// placed at the least-bad stage even if no placement improves.
+/// raises the objective most, and stays unused when no placement improves
+/// (a slow straggler can pace a replicated stage down).
 void greedy_place_extras(SearchState& state, const Application& application,
-                         const std::vector<std::size_t>& procs_by_speed,
-                         const MappingSearchOptions& options) {
+                         const std::vector<std::size_t>& procs_by_speed) {
   const std::size_t n = application.num_stages();
   const std::size_t m = procs_by_speed.size();
 
-  std::vector<std::optional<double>> candidate_scores(n);
   for (std::size_t k = n; k < m; ++k) {
     const std::size_t p = procs_by_speed[k];
     double best = state.current();
     std::size_t best_stage = kUnassigned;
     for (std::size_t i = 0; i < n; ++i) {
-      // Screen against the running best — except when unused processors are
-      // forbidden: the least-bad fallback below needs every score, so that
-      // configuration probes unscreened.
-      const double threshold =
-          options.allow_unused_processors ? best : kNegInf;
-      candidate_scores[i] = state.probe(MappingMove::migrate(p, i), threshold);
-      if (candidate_scores[i] && *candidate_scores[i] > best) {
-        best = *candidate_scores[i];
+      const auto score = state.probe(MappingMove::migrate(p, i), best);
+      if (score && *score > best) {
+        best = *score;
         best_stage = i;
-      }
-    }
-    if (best_stage == kUnassigned && !options.allow_unused_processors) {
-      // Fall back to the least-bad placement (reusing the recorded scores:
-      // every objective evaluation is counted exactly once).
-      double least_bad = kNegInf;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (candidate_scores[i] && *candidate_scores[i] > least_bad) {
-          least_bad = *candidate_scores[i];
-          best_stage = i;
-        }
       }
     }
     if (best_stage != kUnassigned) {
@@ -230,11 +220,10 @@ double local_search(SearchState& state, const MappingSearchOptions& options,
   const std::size_t m = state.assignment().size();
   for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
     bool improved = false;
-    // Migration moves: processor p -> stage i (or unassigned).
+    // Migration moves: processor p -> stage i (or unassigned, i == n).
     for (std::size_t p = 0; p < m; ++p) {
       const std::size_t original = state.assignment()[p];
-      const std::size_t targets = n + (options.allow_unused_processors ? 1 : 0);
-      for (std::size_t i = 0; i < targets; ++i) {
+      for (std::size_t i = 0; i <= n; ++i) {
         const std::size_t target = i == n ? kUnassigned : i;
         if (target == original) continue;
         const MappingMove move = MappingMove::migrate(p, target);
@@ -314,7 +303,7 @@ RestartResult run_greedy_restart(const InstancePtr& instance,
       instance, options, context,
       initial_greedy_assignment(application, instance->platform,
                                 procs_by_speed));
-  greedy_place_extras(state, application, procs_by_speed, options);
+  greedy_place_extras(state, application, procs_by_speed);
 
   RestartResult result;
   result.start_score = state.current();
@@ -381,8 +370,9 @@ RestartResult run_island_leg(const InstancePtr& instance, IslandState& island,
   note_best();
 
   if (options.kind == RestartKind::kAnnealing) {
-    const double temp = options.sa_initial_temp *
-                        std::pow(options.sa_cooling, static_cast<double>(round));
+    const double temp =
+        kAnnealingInitialTemp *
+        std::pow(kAnnealingCooling, static_cast<double>(round));
     for (std::size_t step = 0; step < options.moves_per_leg; ++step) {
       // Draw discipline: every step consumes exactly four variates BEFORE
       // any feasibility or acceptance test, so the stream position is a
@@ -396,8 +386,6 @@ RestartResult run_island_leg(const InstancePtr& instance, IslandState& island,
       if (migrating) {
         const std::size_t target = aux == n ? kUnassigned : aux;
         if (target == state.assignment()[p]) continue;  // no-op proposal
-        if (target == kUnassigned && !options.allow_unused_processors)
-          continue;
         move = MappingMove::migrate(p, target);
       } else {
         if (aux == p || state.assignment()[p] == state.assignment()[aux])
@@ -420,7 +408,7 @@ RestartResult run_island_leg(const InstancePtr& instance, IslandState& island,
   } else {
     // Tabu search: take the best admissible neighbour each step (even when
     // it is worse — that is the escape mechanism), forbidding moves that
-    // return a just-moved processor to the stage it left for `tabu_tenure`
+    // return a just-moved processor to the stage it left for kTabuTenure
     // steps, unless the move would beat the island's best (aspiration).
     // Consumes no randomness; the table is fresh each leg.
     std::vector<std::size_t> tabu_until(m * (n + 1), 0);
@@ -448,9 +436,7 @@ RestartResult run_island_leg(const InstancePtr& instance, IslandState& island,
       };
       for (std::size_t p = 0; p < m; ++p) {
         const std::size_t from = state.assignment()[p];
-        const std::size_t targets =
-            n + (options.allow_unused_processors ? 1 : 0);
-        for (std::size_t i = 0; i < targets; ++i) {
+        for (std::size_t i = 0; i <= n; ++i) {
           const std::size_t target = i == n ? kUnassigned : i;
           if (target == from) continue;
           consider(MappingMove::migrate(p, target),
@@ -470,10 +456,10 @@ RestartResult run_island_leg(const InstancePtr& instance, IslandState& island,
       // Mark the reversing attributes before moving: each arm may not
       // return to the stage it leaves until the tenure expires.
       tabu_until[slot(best_move.p, state.assignment()[best_move.p])] =
-          step + options.tabu_tenure;
+          step + kTabuTenure;
       if (best_move.kind == MappingMove::Kind::kSwap) {
         tabu_until[slot(best_move.q, state.assignment()[best_move.q])] =
-            step + options.tabu_tenure;
+            step + kTabuTenure;
       }
       // Unscreened re-probe so the commit adopts the pending candidate.
       const auto score = state.probe(best_move);

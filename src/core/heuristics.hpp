@@ -80,6 +80,9 @@ enum class RestartKind {
   kTabu,
 };
 
+/// Every search may leave a processor unused when that helps: a slow
+/// straggler can pace a replicated stage below what its team reaches
+/// without it.
 struct MappingSearchOptions {
   ExecutionModel model = ExecutionModel::kOverlap;
   MappingObjective objective = MappingObjective::kExponential;
@@ -93,10 +96,6 @@ struct MappingSearchOptions {
   /// Reject mappings with lcm(R_1..R_N) above this (>= 1).
   std::int64_t max_paths = 256;
   std::uint64_t seed = 1;
-  /// Leave processors unused when that helps (a slow straggler can reduce
-  /// a replicated stage's paced throughput). If false, every processor is
-  /// assigned somewhere.
-  bool allow_unused_processors = true;
 
   // ---- Bound screening (AnalysisContext::probe_move) -----------------------
 
@@ -104,11 +103,6 @@ struct MappingSearchOptions {
   /// and scores are bit-identical under every policy; only the number of
   /// CTMC solves (and the evaluation counters) changes.
   BoundPolicy bounds = BoundPolicy::kNone;
-  /// Relative slack applied to a bound before comparing it to the adoption
-  /// threshold: prune only when bound * (1 + bound_slack) <= threshold.
-  /// Absorbs FP rounding between the bound arithmetic and the solver;
-  /// mutation tests tighten it to prove the comparison bites.
-  double bound_slack = 1e-9;
 
   // ---- Metaheuristic knobs (kAnnealing / kTabu islands) --------------------
 
@@ -116,15 +110,9 @@ struct MappingSearchOptions {
   /// deterministic islands (engine/parallel_search).
   RestartKind kind = RestartKind::kGreedyLocal;
   /// Moves proposed (annealing) or best-neighbour steps taken (tabu) per
-  /// island leg, i.e. between two synchronization points.
+  /// island leg, i.e. between two synchronization points. The annealing
+  /// schedule and the tabu tenure are constants of core/heuristics.cpp.
   std::size_t moves_per_leg = 64;
-  /// Relative initial temperature of the annealing acceptance rule
-  /// (accept a candidate iff score > current * (1 + T_r * ln u),
-  /// u ~ U(0,1)); T_r = sa_initial_temp * sa_cooling^round.
-  double sa_initial_temp = 0.20;
-  double sa_cooling = 0.85;
-  /// Steps a reversing attribute (processor, origin stage) stays tabu.
-  std::size_t tabu_tenure = 8;
 };
 
 /// Scores one mapping under the chosen objective (exposed for comparisons).
@@ -239,8 +227,8 @@ struct IslandState {
 /// options.moves_per_leg proposal steps (annealing, drawing from `prng`) or
 /// best-neighbour steps (tabu, consuming no randomness; the tabu list is
 /// fresh per leg), screened through AnalysisContext::probe_move under
-/// options.bounds. `round` scales the annealing temperature
-/// (sa_initial_temp * sa_cooling^round). Returns the leg's deltas:
+/// options.bounds. `round` cools the annealing temperature geometrically
+/// (0.20 * 0.85^round). Returns the leg's deltas:
 /// feasible/score/start_score reflect the island after/entering the leg,
 /// and the counters cover this leg only (cache-independent, like every
 /// RestartResult). An infeasible island returns immediately with

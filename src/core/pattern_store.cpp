@@ -238,11 +238,14 @@ std::size_t PatternStore::load(std::string_view text) {
     const std::string_view row = reader.line();
     StoredEntry entry;
     std::size_t bits_count = 0;
+    // A u x v pattern has exactly u*v link durations: any other count is a
+    // row no PatternSignature can match.
     if (reader.token() != "entry" ||
         parse_number(reader.token(), entry.signature.u) ||
         parse_number(reader.token(), entry.signature.v) ||
         parse_number(reader.token(), bits_count) || entry.signature.u == 0 ||
-        entry.signature.v == 0 || bits_count == 0) {
+        entry.signature.v == 0 || bits_count % entry.signature.u != 0 ||
+        bits_count / entry.signature.u != entry.signature.v) {
       reader.fail("malformed entry '" + std::string(row) + "'");
     }
     for (std::size_t b = 0; b < bits_count; ++b) {

@@ -13,7 +13,8 @@
 //   - gamma/weibull: IFR for shape >= 1, DFR (not N.B.U.E.) for shape < 1
 //   - beta: N.B.U.E. for alpha >= 1 (density non-decreasing near 0)
 //   - lognormal, Pareto, non-degenerate hyperexponential: not N.B.U.E.
-// The empirical counterpart (dist/nbue_test.hpp) cross-checks these flags.
+// The tests cross-check these flags with the empirical mean-residual-life
+// test of §6 (tests/support/nbue_test.hpp).
 #pragma once
 
 #include <cstddef>

@@ -96,6 +96,7 @@ RandomInstanceOptions regime_instance_options(ScenarioRegime regime,
 /// emit -> parse -> emit is byte-stable.
 void save_scenario(std::ostream& os, const Scenario& scenario);
 std::string scenario_to_string(const Scenario& scenario);
+// lint:allow(unused-api): the fixture format's reader, kept beside its writer
 Scenario scenario_from_string(std::string_view text);
 
 }  // namespace streamflow

@@ -43,29 +43,4 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
   row_ptr_[rows_] = col_index_.size();
 }
 
-std::vector<double> CsrMatrix::multiply(const std::vector<double>& x) const {
-  SF_REQUIRE(x.size() == cols_, "dimension mismatch in CSR multiply");
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      acc += values_[k] * x[col_index_[k]];
-    y[r] = acc;
-  }
-  return y;
-}
-
-std::vector<double> CsrMatrix::multiply_transpose(
-    const std::vector<double>& x) const {
-  SF_REQUIRE(x.size() == rows_, "dimension mismatch in CSR multiply_transpose");
-  std::vector<double> y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      y[col_index_[k]] += values_[k] * xr;
-  }
-  return y;
-}
-
 }  // namespace streamflow

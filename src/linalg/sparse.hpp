@@ -25,13 +25,6 @@ class CsrMatrix {
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
-  std::size_t nonzeros() const { return values_.size(); }
-
-  /// y = A x.
-  std::vector<double> multiply(const std::vector<double>& x) const;
-
-  /// y = A^T x (used for pi <- pi P without materializing the transpose).
-  std::vector<double> multiply_transpose(const std::vector<double>& x) const;
 
   /// Row access for iteration: [row_begin(r), row_end(r)) index into
   /// col_index()/values().

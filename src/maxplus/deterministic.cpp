@@ -78,12 +78,13 @@ SccResult tarjan_scc(const TimedEventGraph& graph) {
   return result;
 }
 
-/// Max cycle ratio of each non-trivial SCC (0 for cycle-free components).
+/// Max cycle ratio of each non-trivial SCC (0 for cycle-free components),
+/// with one critical cycle per component in `cycles`.
 std::vector<double> component_periods(const TimedEventGraph& graph,
                                       const SccResult& scc,
-                                      std::vector<CriticalCycle>* cycles) {
+                                      std::vector<CriticalCycle>& cycles) {
   std::vector<double> periods(scc.num_components, 0.0);
-  if (cycles) cycles->assign(scc.num_components, {});
+  cycles.assign(scc.num_components, {});
 
   // Group transitions by component.
   std::vector<std::vector<std::size_t>> members(scc.num_components);
@@ -112,46 +113,15 @@ std::vector<double> component_periods(const TimedEventGraph& graph,
     if (!has_internal_place) continue;  // trivial component: no cycle
     CriticalCycle crit = max_cycle_ratio(sub);
     periods[c] = crit.ratio;
-    if (cycles) {
-      // Remap the cycle back to global transition ids.
-      for (std::size_t& t : crit.transitions) t = members[c][t];
-      crit.places.clear();  // place ids are local; drop them
-      (*cycles)[c] = std::move(crit);
-    }
+    // Remap the cycle back to global transition ids.
+    for (std::size_t& t : crit.transitions) t = members[c][t];
+    crit.places.clear();  // place ids are local; drop them
+    cycles[c] = std::move(crit);
   }
   return periods;
 }
 
 }  // namespace
-
-std::vector<double> transition_periods(const TimedEventGraph& graph) {
-  const SccResult scc = tarjan_scc(graph);
-  std::vector<double> comp_period =
-      component_periods(graph, scc, /*cycles=*/nullptr);
-
-  // Tarjan ids are in reverse topological order: a condensation edge always
-  // goes from a higher id to a lower id, so relaxing edges in descending
-  // source-id order propagates ancestor maxima in one sweep.
-  std::vector<double> reach(comp_period);
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  edges.reserve(graph.num_places());
-  for (const Place& p : graph.places()) {
-    const std::size_t a = scc.component_of[p.from];
-    const std::size_t b = scc.component_of[p.to];
-    if (a != b) edges.push_back({a, b});
-  }
-  std::sort(edges.begin(), edges.end(),
-            [](const auto& x, const auto& y) { return x.first > y.first; });
-  for (const auto& [a, b] : edges) {
-    SF_ASSERT(a > b, "condensation edge violates reverse-topological ids");
-    reach[b] = std::max(reach[b], reach[a]);
-  }
-
-  std::vector<double> periods(graph.num_transitions());
-  for (std::size_t t = 0; t < graph.num_transitions(); ++t)
-    periods[t] = reach[scc.component_of[t]];
-  return periods;
-}
 
 DeterministicThroughput deterministic_throughput(const Mapping& mapping,
                                                  ExecutionModel model,
@@ -160,10 +130,14 @@ DeterministicThroughput deterministic_throughput(const Mapping& mapping,
 
   const SccResult scc = tarjan_scc(graph);
   std::vector<CriticalCycle> cycles;
-  std::vector<double> comp_period = component_periods(graph, scc, &cycles);
+  std::vector<double> comp_period = component_periods(graph, scc, cycles);
 
-  // Ancestor-max propagation (see transition_periods); also remember which
-  // ancestor component is binding so we can report its critical cycle.
+  // Ancestor-max propagation: a transition's period is the largest cycle
+  // ratio among the components that reach it. Tarjan ids are in reverse
+  // topological order, so a condensation edge always goes from a higher id
+  // to a lower one, and relaxing edges in descending source-id order
+  // propagates the maxima in one sweep. Also remember which ancestor
+  // component is binding so we can report its critical cycle.
   std::vector<double> reach(comp_period);
   std::vector<std::size_t> binding(scc.num_components);
   for (std::size_t c = 0; c < scc.num_components; ++c) binding[c] = c;
@@ -211,43 +185,6 @@ DeterministicThroughput deterministic_throughput(const Mapping& mapping,
       relative_difference(result.in_order_throughput,
                           result.critical_resource_throughput) < 1e-9;
   return result;
-}
-
-TimedEventGraph column_subgraph(const TimedEventGraph& graph,
-                                std::size_t column) {
-  SF_REQUIRE(column < graph.num_columns(), "column out of range");
-  TimedEventGraph sub(graph.num_rows(), 1);
-  std::vector<std::size_t> remap(graph.num_transitions(),
-                                 static_cast<std::size_t>(-1));
-  for (std::size_t t = 0; t < graph.num_transitions(); ++t) {
-    if (graph.transition(t).column != column) continue;
-    Transition copy = graph.transition(t);
-    copy.column = 0;
-    remap[t] = sub.add_transition(copy);
-  }
-  for (const Place& p : graph.places()) {
-    const std::size_t from = remap[p.from];
-    const std::size_t to = remap[p.to];
-    if (from == static_cast<std::size_t>(-1) ||
-        to == static_cast<std::size_t>(-1))
-      continue;
-    sub.add_place(Place{from, to, p.kind, p.initial_tokens});
-  }
-  sub.finalize();
-  return sub;
-}
-
-std::vector<double> column_periods_overlap(const Mapping& mapping,
-                                           const TpnBuildOptions& options) {
-  const TimedEventGraph graph =
-      build_tpn(mapping, ExecutionModel::kOverlap, options);
-  std::vector<double> periods;
-  periods.reserve(graph.num_columns());
-  for (std::size_t c = 0; c < graph.num_columns(); ++c) {
-    const TimedEventGraph sub = column_subgraph(graph, c);
-    periods.push_back(max_cycle_ratio(sub).ratio);
-  }
-  return periods;
 }
 
 }  // namespace streamflow

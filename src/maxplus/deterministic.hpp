@@ -54,20 +54,4 @@ DeterministicThroughput deterministic_throughput(
     const Mapping& mapping, ExecutionModel model,
     const TpnBuildOptions& options = {});
 
-/// Per-transition asymptotic firing periods of an arbitrary live TEG:
-/// periods[t] = max cycle ratio among cycles with a path to t (0 for a
-/// transition with no ancestor cycle). Exposed for tests and diagnostics.
-std::vector<double> transition_periods(const TimedEventGraph& graph);
-
-/// Per-column periods of the Overlap TPN (§4.1): index c holds the maximum
-/// cycle ratio among cycles of column c (all Overlap cycles are confined to
-/// a single column).
-std::vector<double> column_periods_overlap(const Mapping& mapping,
-                                           const TpnBuildOptions& options = {});
-
-/// Extracts the sub-event-graph induced by one column (transitions of that
-/// column and the places joining them). Exposed for tests and diagnostics.
-TimedEventGraph column_subgraph(const TimedEventGraph& graph,
-                                std::size_t column);
-
 }  // namespace streamflow

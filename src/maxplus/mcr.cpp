@@ -128,27 +128,4 @@ CriticalCycle max_cycle_ratio(const TimedEventGraph& graph) {
   throw NumericalError("max_cycle_ratio: Dinkelbach iteration did not settle");
 }
 
-double max_cycle_ratio_lawler(const TimedEventGraph& graph, double tolerance) {
-  SF_REQUIRE(tolerance > 0.0, "tolerance must be positive");
-  const double scale = duration_scale(graph);
-  const double eps = 1e-10 * scale;
-  double hi = 0.0;
-  for (const Transition& t : graph.transitions()) hi += t.duration;
-  hi = std::max(hi, 1.0);
-  double lo = -scale;
-  if (!find_positive_cycle(graph, lo, eps)) {
-    throw InvalidArgument(
-        "event graph is acyclic: the system has no steady-state period");
-  }
-  while (hi - lo > tolerance) {
-    const double mid = 0.5 * (lo + hi);
-    if (find_positive_cycle(graph, mid, eps)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 }  // namespace streamflow

@@ -4,12 +4,10 @@
 // (number of initial tokens on C's places), and the period is
 // Lambda = max_C ratio(C); a maximizing cycle is a critical cycle.
 //
-// Two independent algorithms are provided:
-//  * Dinkelbach iteration (find a positive-weight cycle for the current
-//    guess, jump to its exact ratio; converges in a handful of rounds) —
-//    the production path, exact up to FP on the final cycle;
-//  * Lawler binary search over lambda with Bellman–Ford feasibility — used
-//    as a cross-check in tests.
+// Computed by Dinkelbach iteration: find a positive-weight cycle for the
+// current guess, jump to its exact ratio; converges in a handful of rounds
+// and is exact up to FP on the final cycle. The tests cross-check it with a
+// Lawler bisection (tests/support/deterministic_reference.hpp).
 #pragma once
 
 #include <cstddef>
@@ -37,10 +35,5 @@ struct CriticalCycle {
 /// acyclic have no cycle at all; this cannot happen for our TPNs (every
 /// transition sits on a resource chain) and raises InvalidArgument.
 CriticalCycle max_cycle_ratio(const TimedEventGraph& graph);
-
-/// Lawler binary-search cross-check; returns only the ratio, bisected to
-/// `tolerance` (absolute).
-double max_cycle_ratio_lawler(const TimedEventGraph& graph,
-                              double tolerance = 1e-10);
 
 }  // namespace streamflow

@@ -68,7 +68,12 @@ std::string parse_number_token(Cursor& cursor) {
     }
     return n;
   };
-  if (digits() == 0) cursor.fail("malformed number");
+  // JSON's integer part is a lone 0 or starts with 1-9: 007 is no number.
+  const bool leading_zero = cursor.peek() == '0';
+  const std::size_t integer_digits = digits();
+  if (integer_digits == 0) cursor.fail("malformed number");
+  if (leading_zero && integer_digits > 1)
+    cursor.fail("malformed number (leading zero)");
   if (cursor.peek() == '.') {
     ++cursor.pos;
     if (digits() == 0) cursor.fail("malformed number (bare trailing dot)");

@@ -151,13 +151,4 @@ TegSimResult simulate_teg(const TimedEventGraph& graph,
   return simulate_teg(graph, laws, prng, options);
 }
 
-TegSimResult simulate_teg_deterministic(const TimedEventGraph& graph,
-                                        const TegSimOptions& options) {
-  std::vector<DistributionPtr> laws;
-  laws.reserve(graph.num_transitions());
-  for (const Transition& t : graph.transitions())
-    laws.push_back(make_constant(t.duration));
-  return simulate_teg(graph, laws, options);
-}
-
 }  // namespace streamflow

@@ -74,9 +74,4 @@ TegSimResult simulate_teg(const TimedEventGraph& graph,
                           const std::vector<DistributionPtr>& laws,
                           const TegSimOptions& options = {});
 
-/// Convenience overload: constant firing times taken from the transitions'
-/// deterministic durations.
-TegSimResult simulate_teg_deterministic(const TimedEventGraph& graph,
-                                        const TegSimOptions& options = {});
-
 }  // namespace streamflow

@@ -18,16 +18,9 @@ struct TpnBuildOptions {
 };
 
 /// Builds the TPN for the given mapping and execution model. The returned
-/// graph is finalized and liveness-checked. Time O(m * N) (§3.3).
+/// graph is finalized and liveness-checked; transition (row j, column c)
+/// has id j * num_columns + c. Time O(m * N) (§3.3).
 TimedEventGraph build_tpn(const Mapping& mapping, ExecutionModel model,
                           const TpnBuildOptions& options = {});
-
-/// Transition id of row j, column c in a graph built by build_tpn.
-inline std::size_t tpn_transition_id(const TimedEventGraph& graph,
-                                     std::int64_t row, std::size_t column) {
-  SF_REQUIRE(row >= 0 && row < graph.num_rows(), "row out of range");
-  SF_REQUIRE(column < graph.num_columns(), "column out of range");
-  return static_cast<std::size_t>(row) * graph.num_columns() + column;
-}
 
 }  // namespace streamflow

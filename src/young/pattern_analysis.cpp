@@ -1,7 +1,6 @@
 #include "young/pattern_analysis.hpp"
 
 #include "markov/throughput.hpp"
-#include "maxplus/mcr.hpp"
 
 namespace streamflow {
 
@@ -23,13 +22,6 @@ double pattern_flow_exponential_homogeneous(std::size_t u, std::size_t v,
   SF_REQUIRE(rate > 0.0, "rate must be positive");
   return static_cast<double>(u) * static_cast<double>(v) * rate /
          static_cast<double>(u + v - 1);
-}
-
-double pattern_flow_deterministic(const CommPattern& pattern) {
-  const TimedEventGraph teg = build_pattern_teg(pattern);
-  const double period = max_cycle_ratio(teg).ratio;
-  SF_ASSERT(period > 0.0, "degenerate pattern period");
-  return static_cast<double>(pattern.size()) / period;
 }
 
 }  // namespace streamflow

@@ -3,13 +3,13 @@
 //
 // "Inner flow" is the pattern's saturated data-set rate: the aggregate
 // stationary firing frequency of its u*v transitions when all inputs are
-// always available. Three evaluations:
+// always available. Two evaluations:
 //  * exponential, heterogeneous rates: exact CTMC on the Young-diagram state
 //    space (Theorem 3);
 //  * exponential, homogeneous rate lambda: closed form u*v*lambda/(u+v-1)
-//    (Theorem 4; the stationary distribution is uniform);
-//  * deterministic: u*v / Lambda with Lambda the pattern's critical-cycle
-//    ratio (max(u,v)*d for a homogeneous time d, i.e. flow min(u,v)/d).
+//    (Theorem 4; the stationary distribution is uniform).
+// The deterministic flow u*v / Lambda (Lambda the pattern's critical-cycle
+// ratio) is a test-side reference (tests/support/deterministic_reference).
 #pragma once
 
 #include <cstddef>
@@ -36,8 +36,5 @@ PatternFlow pattern_flow_exponential(const CommPattern& pattern,
 /// Theorem 4's closed form for a homogeneous pattern.
 double pattern_flow_exponential_homogeneous(std::size_t u, std::size_t v,
                                             double rate);
-
-/// Deterministic saturated flow via the pattern's critical cycle.
-double pattern_flow_deterministic(const CommPattern& pattern);
 
 }  // namespace streamflow

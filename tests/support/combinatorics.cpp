@@ -1,8 +1,6 @@
-#include "young/diagram.hpp"
+#include "support/combinatorics.hpp"
 
 #include <functional>
-
-#include "common/math_utils.hpp"
 
 namespace streamflow {
 

@@ -1,4 +1,4 @@
-#include "maxplus/algebra.hpp"
+#include "support/maxplus_algebra.hpp"
 
 namespace streamflow::maxplus {
 

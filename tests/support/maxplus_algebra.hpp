@@ -9,8 +9,8 @@
 //   x(k) = A0 (x) x(k) (+) A1 (x) x(k-1) + durations,
 // whose solution is x(k) = A (x) x(k-1) with A = A0* (x) A1 (Kleene star).
 // The per-transition growth rates of x(k) are the cycle-time vector — an
-// independent route to the deterministic throughput, cross-checked against
-// the critical-cycle analysis in the tests.
+// independent route to the deterministic throughput that the tests check
+// the library's critical-cycle analysis (maxplus/deterministic) against.
 #pragma once
 
 #include <limits>

@@ -1,4 +1,4 @@
-#include "dist/nbue_test.hpp"
+#include "support/nbue_test.hpp"
 
 #include <algorithm>
 #include <cmath>

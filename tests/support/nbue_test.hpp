@@ -5,6 +5,9 @@
 // zero, the exponential hovers at zero (it is the N.B.U.E. boundary), and
 // D.F.R. laws (gamma/weibull with shape < 1, hyperexponentials, heavy
 // lognormals, Pareto) blow past it — the Fig 16 / Fig 17 dichotomy.
+//
+// The library classifies laws analytically (Distribution::is_nbue); this
+// sample test is the check the tests hold those flags to.
 #pragma once
 
 #include <cstddef>

@@ -5,6 +5,33 @@
 
 namespace streamflow {
 
+std::size_t nonzeros(const CsrMatrix& a) { return a.values().size(); }
+
+Vector multiply(const CsrMatrix& a, const Vector& x) {
+  SF_REQUIRE(x.size() == a.cols(), "dimension mismatch in CSR multiply");
+  Vector y(a.rows(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    double acc = 0.0;
+    for (std::size_t k = a.row_begin(r); k < a.row_end(r); ++k)
+      acc += a.values()[k] * x[a.col_index()[k]];
+    y[r] = acc;
+  }
+  return y;
+}
+
+Vector multiply_transpose(const CsrMatrix& a, const Vector& x) {
+  SF_REQUIRE(x.size() == a.rows(),
+             "dimension mismatch in CSR multiply_transpose");
+  Vector y(a.cols(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const double xr = x[r];
+    if (xr == 0.0) continue;
+    for (std::size_t k = a.row_begin(r); k < a.row_end(r); ++k)
+      y[a.col_index()[k]] += a.values()[k] * xr;
+  }
+  return y;
+}
+
 Vector stationary_dense(const DenseMatrix& q) {
   SF_REQUIRE(q.rows() == q.cols(), "generator must be square");
   const std::size_t n = q.rows();

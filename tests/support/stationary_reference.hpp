@@ -2,16 +2,27 @@
 // LU on the full generator. Tests and bench/sec77_runtime check the
 // library's Gauss–Seidel solve against it to 1e-9 relative. A dense LU
 // costs O(n^3), so it is meant for chains of a few thousand states at most.
+// Also the CSR products the tests check matrix assembly with.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "linalg/sparse.hpp"
 #include "markov/reachability.hpp"
 #include "support/dense.hpp"
 #include "tpn/graph.hpp"
 
 namespace streamflow {
+
+/// Entries stored in `a` after duplicate merging.
+std::size_t nonzeros(const CsrMatrix& a);
+
+/// y = A x.
+Vector multiply(const CsrMatrix& a, const Vector& x);
+
+/// y = A^T x, without materializing the transpose.
+Vector multiply_transpose(const CsrMatrix& a, const Vector& x);
 
 /// Direct solve for the stationary distribution of generator Q (dense).
 /// Q must be a proper generator: non-negative off-diagonals, zero row sums.

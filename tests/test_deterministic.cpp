@@ -6,6 +6,7 @@
 #include "common/stats.hpp"
 #include "model/random_instance.hpp"
 #include "sim/teg_sim.hpp"
+#include "support/deterministic_reference.hpp"
 #include "test_helpers.hpp"
 
 namespace streamflow {

@@ -75,7 +75,7 @@ TEST(Heuristics, ReplicatesTheBottleneckStage) {
 
 TEST(Heuristics, LeavesStragglersOutWhenAllowed) {
   // A crippled processor (1000x slower) would pace a middle replicated
-  // stage; with allow_unused_processors the search should bench it.
+  // stage; the search, free to leave processors unused, should bench it.
   Application app({1.0, 4.0, 1.0}, {0.1, 0.1});
   Platform platform = Platform::fully_connected(
       {10.0, 2.0, 2.0, 0.002, 10.0}, 100.0);
@@ -173,23 +173,34 @@ TEST(Heuristics, RestartsZeroMatchesRestartsOne) {
 }
 
 TEST(Heuristics, EvaluationAccountingIsExact) {
-  // With no local-search sweeps and forced placement, the count is fully
+  // With no local-search sweeps and no screening, the count is fully
   // determined: 1 evaluation of the initial greedy seed, then for each of
-  // the m - n extra processors n candidate probes plus one re-probe of the
-  // chosen placement. Every greedy-construction scoring call is tallied.
-  Application app({1.0, 2.0}, {0.5});
-  Platform platform = Platform::fully_connected({2.0, 1.0, 1.0, 1.0, 1.0},
-                                                10.0);
+  // the m - n extra processors n candidate probes, plus one re-probe for
+  // each processor the greedy step placed (the rest stay unused). Every
+  // greedy-construction scoring call is tallied. The first platform places
+  // no extra processor, the second places all three.
   MappingSearchOptions options;
   options.objective = MappingObjective::kExponential;
-  options.allow_unused_processors = false;
+  options.bounds = BoundPolicy::kNone;
   options.max_sweeps = 0;
   options.restarts = 1;
-  const auto result = search(app, platform, options);
   const std::size_t m = 5, n = 2;
-  EXPECT_EQ(result.evaluations, 1 + (m - n) * (n + 1));
-  // No sweeps ran: the result is exactly the greedy construction.
-  EXPECT_EQ(result.throughput, result.greedy_throughput);
+  for (const auto& [works, speeds] :
+       {std::pair<std::vector<double>, std::vector<double>>{
+            {1.0, 2.0}, {2.0, 1.0, 1.0, 1.0, 1.0}},
+        {{1.0, 4.0}, {1.0, 1.0, 1.0, 1.0, 1.0}}}) {
+    const auto result =
+        search(Application(works, {0.5}),
+               Platform::fully_connected(speeds, 10.0), options);
+    std::size_t placed = 0;
+    for (std::size_t p = 0; p < m; ++p)
+      if (result.mapping.stage_of(p) != Mapping::kUnused) ++placed;
+    placed -= n;  // the greedy seed gives each stage one processor
+    EXPECT_EQ(placed, works[1] == 2.0 ? 0u : 3u);
+    EXPECT_EQ(result.evaluations, 1 + (m - n) * n + placed);
+    // No sweeps ran: the result is exactly the greedy construction.
+    EXPECT_EQ(result.throughput, result.greedy_throughput);
+  }
 }
 
 TEST(Heuristics, WarmCacheDoesNotChangeTheResult) {

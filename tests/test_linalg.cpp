@@ -85,11 +85,11 @@ TEST(Lu, Determinant) {
 TEST(Csr, AssemblesAndMultiplies) {
   std::vector<Triplet> t{{0, 1, 2.0}, {1, 0, 3.0}, {1, 2, 1.0}, {0, 1, 0.5}};
   CsrMatrix m(2, 3, t);
-  EXPECT_EQ(m.nonzeros(), 3u);  // duplicate (0,1) merged
-  const auto y = m.multiply({1.0, 1.0, 1.0});
+  EXPECT_EQ(nonzeros(m), 3u);  // duplicate (0,1) merged
+  const auto y = multiply(m, {1.0, 1.0, 1.0});
   EXPECT_DOUBLE_EQ(y[0], 2.5);
   EXPECT_DOUBLE_EQ(y[1], 4.0);
-  const auto z = m.multiply_transpose({1.0, 2.0});
+  const auto z = multiply_transpose(m, {1.0, 2.0});
   EXPECT_DOUBLE_EQ(z[0], 6.0);
   EXPECT_DOUBLE_EQ(z[1], 2.5);
   EXPECT_DOUBLE_EQ(z[2], 2.0);
@@ -103,7 +103,7 @@ TEST(Csr, SortsColumnsAndMergesDuplicatesWithinRows) {
   for (std::size_t c = 0; c < 40; c += 2) t.push_back({0, c, 0.5});
   t.push_back({1, 3, 0.25});
   const CsrMatrix m(2, 40, t);
-  EXPECT_EQ(m.nonzeros(), 42u);
+  EXPECT_EQ(nonzeros(m), 42u);
   for (std::size_t k = m.row_begin(0); k < m.row_end(0); ++k) {
     EXPECT_EQ(m.col_index()[k], k);
     EXPECT_EQ(m.values()[k], k % 2 == 0 ? 1.5 : 1.0);

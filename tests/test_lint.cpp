@@ -8,7 +8,8 @@
 // ban, header-only rules, the annotated mutex wrapper itself, the text
 // reader and the test-side number references) are pinned
 // here too, so a refactor of the engine cannot silently widen or narrow a
-// rule.
+// rule. The cross-file unused-api rule replays a planted mini-tree
+// (tests/fixtures/lint/unused_api/) instead of a single file.
 #include "lint_rules.hpp"
 
 #include <gtest/gtest.h>
@@ -49,6 +50,26 @@ Fired fire(const std::string& policy_path, const std::string& content) {
 
 Fired fire_fixture(const std::string& policy_path, const std::string& name) {
   return fire(policy_path, read_fixture(name));
+}
+
+/// The planted mini-tree of the cross-file unused-api rule, under
+/// tests/fixtures/lint/unused_api/, with paths relative to its root.
+std::vector<SourceFile> unused_api_tree() {
+  std::vector<SourceFile> files;
+  for (const char* path : {"src/widget/widget.hpp", "src/widget/widget.cpp",
+                           "tools/driver.cpp", "tests/widget_test.cpp"})
+    files.push_back({path, read_fixture(std::string("unused_api/") + path)});
+  return files;
+}
+
+/// lint_unused_api over `files`, reduced to (path:name-line) strings.
+std::vector<std::string> fire_unused_api(const std::vector<SourceFile>& files) {
+  std::vector<std::string> fired;
+  for (const Violation& v : lint_unused_api(files)) {
+    EXPECT_EQ(v.rule, "unused-api");
+    fired.push_back(v.path + ":" + std::to_string(v.line));
+  }
+  return fired;
 }
 
 TEST(Lint, WallClockFiresAndAllowSuppresses) {
@@ -155,6 +176,64 @@ TEST(Lint, AllowSyntaxFiresOnUnknownRuleAndMissingReason) {
   EXPECT_EQ(fired, expected);
 }
 
+TEST(Lint, UnusedApiFiresOnADeclarationWithoutAShippedCaller) {
+  // unused_function is named by its definition, a test, a comment and a
+  // string, none of which is a shipped caller; suppressed_function has no
+  // caller either but carries a justified suppression.
+  const std::vector<std::string> expected = {"src/widget/widget.hpp:10"};
+  EXPECT_EQ(fire_unused_api(unused_api_tree()), expected);
+}
+
+TEST(Lint, UnusedApiCountsCallersInEveryShippedDirectory) {
+  for (const char* dir : {"src/", "tools/", "bench/", "bench_e2e/",
+                          "examples/"}) {
+    std::vector<SourceFile> files = unused_api_tree();
+    files.push_back({std::string(dir) + "caller.cpp",
+                     "int f() { return widget::unused_function(2); }\n"});
+    EXPECT_TRUE(fire_unused_api(files).empty()) << dir;
+  }
+}
+
+TEST(Lint, UnusedApiSuppressionNamesTheRule) {
+  std::vector<SourceFile> files = unused_api_tree();
+  std::string& header = files[0].content;
+  const std::size_t at = header.find("lint:allow(unused-api)");
+  ASSERT_NE(at, std::string::npos);
+  header.replace(at, 22, "lint:allow(wall-clock)");
+  const std::vector<std::string> expected = {"src/widget/widget.hpp:10",
+                                             "src/widget/widget.hpp:13"};
+  EXPECT_EQ(fire_unused_api(files), expected);
+}
+
+TEST(Lint, UnusedApiSeesOnlyNamespaceScopeFunctions) {
+  // Every shape of declaration a src/ header holds; only the functions
+  // declared at namespace scope are checked, each at its name's line.
+  const std::string header =
+      "#pragma once\n"                                         // 1
+      "#define SF_MACRO(x) macro_target(x)\n"                  // 2
+      "namespace streamflow {\n"                               // 3
+      "template <typename T>\n"                                // 4
+      "T templated(std::vector<T> values = {}, int n = 250'000);\n"  // 5
+      "std::vector<double>\n"                                  // 6
+      "multi_line(const Options& options = {});\n"             // 7
+      "inline constexpr double kValue = compute(2.0);\n"       // 8
+      "class Widget {\n"                                       // 9
+      " public:\n"                                             // 10
+      "  int member(int x) const;\n"                           // 11
+      "};\n"                                                   // 12
+      "bool operator==(const Widget& a, const Widget& b);\n"   // 13
+      "[[nodiscard]] inline int with_body(int x) {\n"          // 14
+      "  return x > 0 ? x : -x;\n"                             // 15
+      "}\n"                                                    // 16
+      "namespace inner {\n"                                    // 17
+      "double nested(double x);\n"                             // 18
+      "}  // namespace inner\n"                                // 19
+      "}  // namespace streamflow\n";                          // 20
+  const std::vector<std::string> expected = {
+      "src/a.hpp:5", "src/a.hpp:7", "src/a.hpp:14", "src/a.hpp:18"};
+  EXPECT_EQ(fire_unused_api({{"src/a.hpp", header}}), expected);
+}
+
 TEST(Lint, TokensInCommentsAndStringsNeverFire) {
   const std::string content =
       "#pragma once\n"
@@ -168,7 +247,8 @@ TEST(Lint, RulesTableIsCompleteAndQueriable) {
   const std::set<std::string> expected = {
       "wall-clock",        "ambient-entropy",        "float-type",
       "unordered-iter",    "header-pragma-once",     "using-namespace-header",
-      "raw-mutex",         "number-parse",           "allow-syntax",
+      "raw-mutex",         "number-parse",           "unused-api",
+      "allow-syntax",
   };
   std::set<std::string> listed;
   for (const RuleInfo& rule : rules()) {
@@ -199,6 +279,8 @@ TEST(Lint, EveryAdvertisedRuleFiresOnSomeFixture) {
   for (const auto& [policy_path, fixture] : runs)
     for (const auto& [rule, line] : fire_fixture(policy_path, fixture))
       fired.insert(rule);
+  for (const Violation& v : lint_unused_api(unused_api_tree()))
+    fired.insert(v.rule);
   std::set<std::string> advertised;
   for (const RuleInfo& rule : rules()) advertised.insert(rule.id);
   EXPECT_EQ(fired, advertised);

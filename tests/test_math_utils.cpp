@@ -4,6 +4,8 @@
 
 #include <tuple>
 
+#include "support/combinatorics.hpp"
+
 namespace streamflow {
 namespace {
 

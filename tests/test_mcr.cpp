@@ -6,6 +6,7 @@
 #include "common/stats.hpp"
 #include "maxplus/deterministic.hpp"
 #include "model/random_instance.hpp"
+#include "support/deterministic_reference.hpp"
 #include "test_helpers.hpp"
 #include "tpn/builder.hpp"
 

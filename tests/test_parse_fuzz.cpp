@@ -256,7 +256,12 @@ TEST(ParseFuzz, PinnedNegativeCases) {
   };
   EXPECT_NE(snapshot("entries 1000000000000000000\n").find("truncated"),
             std::string::npos);
+  // A duration count other than u*v is rejected before any bits are read;
+  // a consistent huge count still reads row by row.
   EXPECT_NE(snapshot("entries 1\nentry 1 2 99999999999 0\n")
+                .find("malformed entry"),
+            std::string::npos);
+  EXPECT_NE(snapshot("entries 1\nentry 1 99999999999 99999999999 0\n")
                 .find("malformed duration bits"),
             std::string::npos);
   const std::string scenario = fixture("s3.scenario") + "trailing garbage\n";

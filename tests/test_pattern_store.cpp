@@ -44,8 +44,12 @@ PatternSignature synthetic_signature(std::uint64_t k) {
   PatternSignature signature;
   signature.u = 2;
   signature.v = 3;
-  signature.duration_bits = {k * 0x9E3779B97F4A7C15ull + 1, k ^ 0xABCDEFull,
-                             k + 7};
+  signature.duration_bits = {k * 0x9E3779B97F4A7C15ull + 1,
+                             k ^ 0xABCDEFull,
+                             k + 7,
+                             k * 5,
+                             ~k,
+                             k + 0x100};
   return signature;
 }
 
@@ -441,6 +445,11 @@ TEST(PatternStoreSnapshot, NegativeFixturesAreRejectedWithDiagnostics) {
   // digest matches that reading, so it used to load without a word.
   EXPECT_NE(message_of("signed_hex.snapshot")
                 .find("line 3, column 13: malformed duration bits"),
+            std::string::npos);
+  // A 1 x 2 pattern has two link durations; a row with one matches no
+  // signature, even under a digest that agrees with it.
+  EXPECT_NE(message_of("wrong_duration_count.snapshot")
+                .find("line 3, column 11: malformed entry 'entry 1 2 1 "),
             std::string::npos);
 }
 

@@ -153,6 +153,15 @@ TEST(Serve, MalformedRequestsAreRejectedWithDiagnostics) {
            instance_field,
        "seed\\\" must be a nonnegative integer (got "
        "'18446744073709551616': out of range)"},
+      {"seed with leading zeros",
+       "{\"op\":\"simulate\",\"seed\":007," + instance_field,
+       "malformed number (leading zero)"},
+      {"negative seed with a leading zero",
+       "{\"op\":\"simulate\",\"seed\":-01," + instance_field,
+       "malformed number (leading zero)"},
+      {"double zero seed",
+       "{\"op\":\"simulate\",\"seed\":00," + instance_field,
+       "malformed number (leading zero)"},
   };
   for (const Case& test_case : cases) {
     const HandledRequest handled = handle_request(test_case.line, options);
@@ -170,6 +179,12 @@ TEST(Serve, MalformedRequestsAreRejectedWithDiagnostics) {
       "\"data_sets\":50," + instance_field, options);
   EXPECT_FALSE(max_seed.is_error) << max_seed.response;
 
+  // A lone 0 integer part, or one starting with 1-9, is a JSON number.
+  for (const char* number : {"0", "0.5", "10"}) {
+    EXPECT_NO_THROW(FlatRequest::parse(std::string("{\"n\":") + number + "}"))
+        << number;
+  }
+
   // The loop survives every rejection and keeps serving.
   std::ostringstream stream_text;
   for (const Case& test_case : cases) stream_text << test_case.line << "\n";
@@ -177,8 +192,8 @@ TEST(Serve, MalformedRequestsAreRejectedWithDiagnostics) {
   std::istringstream in(stream_text.str());
   std::ostringstream out;
   const ServeResult result = run_serve_loop(in, out, options);
-  EXPECT_EQ(result.requests, 13u);
-  EXPECT_EQ(result.errors, 12u);
+  EXPECT_EQ(result.requests, 16u);
+  EXPECT_EQ(result.errors, 15u);
   EXPECT_FALSE(result.shutdown_requested);
   EXPECT_NE(out.str().find("{\"id\":99,\"ok\":true,\"result\":{\"pong\":true}}"),
             std::string::npos);

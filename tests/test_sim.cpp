@@ -7,6 +7,7 @@
 #include "model/random_instance.hpp"
 #include "sim/pipeline_sim.hpp"
 #include "sim/teg_sim.hpp"
+#include "support/deterministic_reference.hpp"
 #include "test_helpers.hpp"
 #include "tpn/builder.hpp"
 

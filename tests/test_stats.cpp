@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/table.hpp"
+#include "support/quantile.hpp"
 
 #include <sstream>
 

@@ -11,6 +11,14 @@ namespace {
 
 using testing::replicated_chain_mapping;
 
+/// Transition id of row j, column c in a graph built by build_tpn.
+std::size_t tpn_transition_id(const TimedEventGraph& graph, std::int64_t row,
+                              std::size_t column) {
+  SF_REQUIRE(row >= 0 && row < graph.num_rows(), "row out of range");
+  SF_REQUIRE(column < graph.num_columns(), "column out of range");
+  return static_cast<std::size_t>(row) * graph.num_columns() + column;
+}
+
 struct BuilderCase {
   std::size_t r0, r1, r2;
 };

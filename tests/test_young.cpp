@@ -2,16 +2,16 @@
 
 #include <cstdio>
 
-#include "common/math_utils.hpp"
 #include "common/prng.hpp"
 #include "common/stats.hpp"
 #include "linalg/stationary.hpp"
 #include "markov/reachability.hpp"
 #include "markov/throughput.hpp"
+#include "support/combinatorics.hpp"
+#include "support/deterministic_reference.hpp"
 #include "support/stationary_reference.hpp"
 #include "test_helpers.hpp"
 #include "tpn/columns.hpp"
-#include "young/diagram.hpp"
 #include "young/pattern_analysis.hpp"
 
 namespace streamflow {

@@ -386,11 +386,23 @@ if(DEFINED LINT)
   run_lint(0 lint_rules_out --list-rules)
   foreach(rule wall-clock ambient-entropy float-type unordered-iter
           header-pragma-once using-namespace-header raw-mutex number-parse
-          allow-syntax)
+          unused-api allow-syntax)
     if(NOT lint_rules_out MATCHES "${rule}")
       message(FATAL_ERROR "--list-rules is missing rule '${rule}':\n${lint_rules_out}")
     endif()
   endforeach()
+
+  # A tree scan runs the cross-file unused-api rule: on the planted
+  # mini-tree it must flag the one declaration without a shipped caller,
+  # and nothing else.
+  run_lint(1 lint_tree_out --root "${FIXTURE_DIR}/lint/unused_api")
+  string(REGEX MATCHALL ": unused-api: " lint_tree_hits "${lint_tree_out}")
+  list(LENGTH lint_tree_hits lint_tree_hit_count)
+  if(NOT lint_tree_hit_count EQUAL 1 OR
+     NOT lint_tree_out MATCHES "src/widget/widget.hpp:10: unused-api: 'unused_function'")
+    message(FATAL_ERROR "streamflow_lint --root on the unused-api mini-tree "
+                        "did not flag exactly unused_function:\n${lint_tree_out}")
+  endif()
 
   # Unknown flags must exit 2 and name the offender on stderr.
   run_lint(2 lint_bad_out --definitely-not-a-flag)

@@ -20,10 +20,15 @@
 // NOTE on self-reference: token rules run on a comment- AND string-stripped
 // view of each line, so the pattern literals below never match their own
 // source text when the lint scans this file.
+//
+// One rule is cross-file: `unused-api` (lint_unused_api) needs the whole
+// tree, so it runs in tree mode only, over the files the caller hands it.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <map>
+#include <optional>
 #include <regex>
 #include <set>
 #include <string>
@@ -69,6 +74,10 @@ inline const std::vector<RuleInfo>& rules() {
        "src/ and tools/ read text only through common/text_reader.hpp: no "
        "C-library or string-stream number parsing outside it (tests/ and "
        "bench/ keep the references)"},
+      {"unused-api",
+       "every namespace-scope function declared in a src/ header is named "
+       "in src/, tools/, bench/, bench_e2e/ or examples/ outside its own "
+       "declaration and definition (test-only references live in tests/)"},
       {"allow-syntax",
        "lint:allow comments must name a known rule and carry ': <reason>'"},
   };
@@ -155,6 +164,10 @@ class LineSplitter {
         ++i;
         continue;
       }
+      if (c == '\'' && in_number(line, i)) {  // digit separator: 250'000
+        parts.code.push_back(c);
+        continue;
+      }
       if (c == '"' || c == '\'') {
         // R"( raw strings are handled as plain strings: good enough for a
         // line lint — the repo's raw literals never span code tokens.
@@ -171,9 +184,40 @@ class LineSplitter {
   }
 
  private:
+  /// Whether line[i] continues a number literal (its word starts with a
+  /// digit), as a digit separator does.
+  static bool in_number(const std::string& line, std::size_t i) {
+    const auto is_number_char = [](char c) {
+      return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '\'' ||
+             c == '_';
+    };
+    std::size_t start = i;
+    while (start > 0 && is_number_char(line[start - 1])) --start;
+    return start < i &&
+           std::isdigit(static_cast<unsigned char>(line[start])) != 0;
+  }
+
   bool in_block_comment_ = false;
   char in_string_ = '\0';
 };
+
+inline std::vector<LineSplitter::Parts> split_parts(
+    const std::string& content) {
+  const std::vector<std::string> lines = split_lines(content);
+  std::vector<LineSplitter::Parts> parts(lines.size());
+  LineSplitter splitter;
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    parts[i] = splitter.split(lines[i]);
+  return parts;
+}
+
+inline std::vector<std::string> code_lines(
+    const std::vector<LineSplitter::Parts>& parts) {
+  std::vector<std::string> code;
+  code.reserve(parts.size());
+  for (const LineSplitter::Parts& part : parts) code.push_back(part.code);
+  return code;
+}
 
 struct AllowTable {
   std::set<std::string> file_rules;
@@ -274,20 +318,12 @@ inline std::vector<Violation> lint_content(const std::string& path,
   using detail::starts_with;
 
   std::vector<Violation> out;
-  const std::vector<std::string> lines = detail::split_lines(content);
-
   // Code/comment split of every line: token rules see code only,
   // suppression parsing sees comments only.
-  std::vector<detail::LineSplitter::Parts> parts(lines.size());
-  {
-    detail::LineSplitter splitter;
-    for (std::size_t i = 0; i < lines.size(); ++i)
-      parts[i] = splitter.split(lines[i]);
-  }
+  const std::vector<detail::LineSplitter::Parts> parts =
+      detail::split_parts(content);
   const detail::AllowTable allows = detail::collect_allows(path, parts, out);
-  std::vector<std::string> code(lines.size());
-  for (std::size_t i = 0; i < lines.size(); ++i)
-    code[i] = std::move(parts[i].code);
+  const std::vector<std::string> code = detail::code_lines(parts);
 
   const bool is_header = ends_with(path, ".hpp");
   const bool in_bench = starts_with(path, "bench/");
@@ -395,6 +431,247 @@ inline std::vector<Violation> lint_content(const std::string& path,
                    "justify with lint:allow(unordered-iter): <why order "
                    "cannot leak>");
       }
+    }
+  }
+  return out;
+}
+
+// --- unused-api: the one cross-file rule --------------------------------
+
+namespace detail {
+
+inline bool is_word_start(char c) {
+  return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+inline bool is_word_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+/// Calls `visit(word)` for every identifier of a code line; number
+/// literals (0x1Fu, 1e9, 2.5) are skipped whole.
+template <typename Visit>
+void for_each_word(const std::string& line, Visit&& visit) {
+  for (std::size_t i = 0; i < line.size();) {
+    if (is_word_start(line[i])) {
+      std::size_t end = i;
+      while (end < line.size() && is_word_char(line[end])) ++end;
+      visit(line.substr(i, end - i));
+      i = end;
+    } else if (std::isdigit(static_cast<unsigned char>(line[i])) != 0) {
+      while (i < line.size() && (is_word_char(line[i]) || line[i] == '.')) ++i;
+    } else {
+      ++i;
+    }
+  }
+}
+
+/// A function named by a namespace-scope statement, with its 1-based line.
+struct FunctionName {
+  std::string name;
+  std::size_t line = 0;
+};
+
+/// The function a namespace-scope statement declares or defines, if any:
+/// the last identifier outside template arguments before the first
+/// top-level '(' that is not an attribute or a macro (an ALL_CAPS word).
+/// A top-level '=' first makes the statement a variable; class, enum,
+/// using, operator and friend statements name no function.
+inline std::optional<FunctionName> declared_function(
+    const std::string& text, const std::vector<std::size_t>& lines) {
+  static const std::set<std::string> kNotAFunction = {
+      "class",  "struct",   "union",         "enum",   "using",
+      "typedef", "operator", "static_assert", "friend", "namespace",
+      "return",  "concept"};
+  static const std::set<std::string> kSpecifiers = {
+      "decltype", "alignas", "noexcept", "__attribute__", "__declspec",
+      "requires", "explicit"};
+  const auto is_specifier = [](const std::string& word) {
+    if (kSpecifiers.count(word) != 0) return true;
+    for (char c : word)
+      if (std::islower(static_cast<unsigned char>(c)) != 0) return false;
+    return true;
+  };
+  int angle = 0;
+  std::string last;
+  std::size_t last_line = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (is_word_start(c)) {
+      std::size_t end = i;
+      while (end < text.size() && is_word_char(text[end])) ++end;
+      std::string word = text.substr(i, end - i);
+      if (kNotAFunction.count(word) != 0) return std::nullopt;
+      if (angle == 0) {
+        last = std::move(word);
+        last_line = lines[i];
+      }
+      i = end - 1;
+    } else if (c == '<') {
+      ++angle;
+    } else if (c == '>' && angle > 0) {
+      --angle;
+    } else if (c == '=' && angle == 0) {
+      return std::nullopt;
+    } else if (c == '(' && angle == 0) {
+      if (!last.empty() && !is_specifier(last))
+        return FunctionName{last, last_line};
+      // An attribute or macro argument list: skip it whole.
+      for (int depth = 0; i < text.size(); ++i) {
+        if (text[i] == '(') ++depth;
+        if (text[i] == ')' && --depth == 0) break;
+      }
+      last.clear();
+    }
+  }
+  return std::nullopt;
+}
+
+/// Every function declared or defined at namespace scope in a file, from
+/// its stripped code lines: statements are split at ';', '{' and '}'
+/// outside parentheses, namespace bodies are descended into, and every
+/// other brace (class, enum, function body, initializer) is skipped whole.
+/// Preprocessor lines are ignored.
+inline std::vector<FunctionName> namespace_scope_functions(
+    const std::vector<std::string>& code) {
+  std::vector<FunctionName> found;
+  std::vector<bool> scopes;  // per open brace: does it open a namespace?
+  std::size_t nested = 0;    // open braces that are not namespace bodies
+  std::string statement;
+  std::vector<std::size_t> statement_lines;
+  int parens = 0;
+  const auto reset = [&] {
+    statement.clear();
+    statement_lines.clear();
+    parens = 0;
+  };
+  const auto opens_namespace = [&] {
+    std::vector<std::string> words;
+    for_each_word(statement, [&](const std::string& w) {
+      if (words.size() < 2) words.push_back(w);
+    });
+    if (!words.empty() && words[0] == "inline") words.erase(words.begin());
+    return !words.empty() && (words[0] == "namespace" || words[0] == "extern");
+  };
+  const auto close_scope = [&] {
+    if (scopes.empty()) return;
+    if (!scopes.back()) --nested;
+    scopes.pop_back();
+  };
+  bool directive = false;
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const std::string& line = code[i];
+    const std::size_t first = line.find_first_not_of(" \t");
+    if (directive || (first != std::string::npos && line[first] == '#')) {
+      directive = !line.empty() && line.back() == '\\';
+      continue;
+    }
+    for (const char c : line) {
+      if (nested != 0) {
+        if (c == '{') {
+          scopes.push_back(false);
+          ++nested;
+        } else if (c == '}') {
+          close_scope();
+        }
+        continue;
+      }
+      if (c == '(') ++parens;
+      if (c == ')' && parens > 0) --parens;
+      if (parens != 0 || (c != '{' && c != ';' && c != '}')) {
+        statement.push_back(c);
+        statement_lines.push_back(i + 1);
+        continue;
+      }
+      if (c == '{' && opens_namespace()) {
+        scopes.push_back(true);
+      } else if (c == '}') {
+        close_scope();
+      } else {
+        if (auto function = declared_function(statement, statement_lines))
+          found.push_back(std::move(*function));
+        if (c == '{') {
+          scopes.push_back(false);
+          ++nested;
+        }
+      }
+      reset();
+    }
+    if (nested == 0) {  // a line break separates words
+      statement.push_back(' ');
+      statement_lines.push_back(i + 1);
+    }
+  }
+  return found;
+}
+
+inline bool is_api_caller_path(const std::string& path) {
+  for (const char* dir :
+       {"src/", "tools/", "bench/", "bench_e2e/", "examples/"})
+    if (starts_with(path, dir)) return true;
+  return false;
+}
+
+}  // namespace detail
+
+/// One file of a tree scan: repo-relative forward-slash path and content.
+struct SourceFile {
+  std::string path;
+  std::string content;
+};
+
+/// The `unused-api` rule over a whole tree: every function declared at
+/// namespace scope in a src/**/*.hpp must be named in a file under src/,
+/// tools/, bench/, bench_e2e/ or examples/ somewhere other than a
+/// namespace-scope declaration or definition of that name. Names are
+/// matched as words of the stripped code, so an overload set counts as
+/// one name and a call in a comment counts for nothing. Files outside
+/// those directories (tests/ above all) are ignored. Violations come in
+/// (path, line) order.
+inline std::vector<Violation> lint_unused_api(
+    const std::vector<SourceFile>& files) {
+  struct Header {
+    std::string path;
+    std::vector<detail::FunctionName> functions;
+    detail::AllowTable allows;
+  };
+  std::map<std::string, long> uses;
+  std::vector<Header> headers;
+  for (const SourceFile& file : files) {
+    if (!detail::is_api_caller_path(file.path)) continue;
+    const std::vector<detail::LineSplitter::Parts> parts =
+        detail::split_parts(file.content);
+    const std::vector<std::string> code = detail::code_lines(parts);
+    for (const std::string& line : code)
+      detail::for_each_word(line, [&](const std::string& w) { ++uses[w]; });
+    std::vector<detail::FunctionName> functions =
+        detail::namespace_scope_functions(code);
+    for (const detail::FunctionName& function : functions)
+      --uses[function.name];
+    if (detail::starts_with(file.path, "src/") &&
+        detail::ends_with(file.path, ".hpp")) {
+      std::vector<Violation> reported_by_lint_content;
+      headers.push_back(
+          {file.path, std::move(functions),
+           detail::collect_allows(file.path, parts, reported_by_lint_content)});
+    }
+  }
+  std::sort(headers.begin(), headers.end(),
+            [](const Header& a, const Header& b) { return a.path < b.path; });
+
+  std::vector<Violation> out;
+  for (const Header& header : headers) {
+    for (const detail::FunctionName& function : header.functions) {
+      if (uses[function.name] > 0 ||
+          header.allows.allowed("unused-api", function.line))
+        continue;
+      out.push_back(
+          {header.path, function.line, "unused-api",
+           "'" + function.name +
+               "' is declared in a src/ header but named nowhere else in "
+               "src/, tools/, bench/, bench_e2e/ or examples/ — move a "
+               "test-only reference to tests/support/, or justify with "
+               "lint:allow(unused-api): <why it stays>"});
     }
   }
   return out;

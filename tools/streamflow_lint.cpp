@@ -4,7 +4,10 @@
 // --root) and applies the per-line rules in tools/lint_rules.hpp: banned
 // wall-clock and ambient-entropy calls, float in analysis code, unjustified
 // unordered-container iteration, header hygiene, and raw std::mutex outside
-// the annotated wrapper. Runs as the `lint` CTest in every CI job.
+// the annotated wrapper. A tree scan also applies the cross-file
+// `unused-api` rule: every function a src/ header declares needs a caller
+// in src/, tools/, bench/, bench_e2e/ or examples/. Runs as the `lint`
+// CTest in every CI job.
 //
 //   streamflow_lint --root <repo>      lint the tree (exit 1 on violations)
 //   streamflow_lint --list-rules       print every rule id + summary
@@ -17,6 +20,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -36,7 +40,10 @@ int usage(std::FILE* stream) {
       "\n"
       "  --root DIR     repository root to scan (default: current directory);\n"
       "                 scans src/, tools/, tests/, bench/ for .cpp/.hpp,\n"
-      "                 skipping tests/fixtures/ (planted lint violations)\n"
+      "                 skipping tests/fixtures/ (planted lint violations),\n"
+      "                 and checks every function a src/ header declares\n"
+      "                 for a caller in src/, tools/, bench/, bench_e2e/ or\n"
+      "                 examples/ (unused-api)\n"
       "  --list-rules   print every rule id with its summary and exit\n"
       "  --help         this text\n"
       "  FILE...        lint only these files (policy uses their path\n"
@@ -71,11 +78,12 @@ bool lintable_extension(const fs::path& path) {
   return ext == ".cpp" || ext == ".hpp";
 }
 
-/// The default scan set: sorted for deterministic output, fixtures skipped
-/// (they exist to violate the rules on purpose).
-std::vector<fs::path> collect_tree(const fs::path& root) {
+/// The .cpp/.hpp files under `dirs` of `root`, sorted for deterministic
+/// output, fixtures skipped (they exist to violate the rules on purpose).
+std::vector<fs::path> collect_tree(const fs::path& root,
+                                   std::initializer_list<const char*> dirs) {
   std::vector<fs::path> files;
-  for (const char* dir : {"src", "tools", "tests", "bench"}) {
+  for (const char* dir : dirs) {
     const fs::path base = root / dir;
     if (!fs::exists(base)) continue;
     for (const auto& entry : fs::recursive_directory_iterator(base)) {
@@ -130,8 +138,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const bool tree_mode = explicit_files.empty();
   std::vector<fs::path> files =
-      explicit_files.empty() ? collect_tree(root) : explicit_files;
+      tree_mode ? collect_tree(root, {"src", "tools", "tests", "bench"})
+                : explicit_files;
   if (files.empty()) {
     std::fprintf(stderr, "error: nothing to lint under '%s'\n",
                  root.string().c_str());
@@ -139,20 +149,27 @@ int main(int argc, char** argv) {
   }
 
   std::size_t violation_count = 0;
-  for (const fs::path& file : files) {
-    std::string content;
-    try {
-      content = read_file(file);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-    const std::string rel = policy_path(file, root);
-    for (const auto& v : streamflow::lint::lint_content(rel, content)) {
+  const auto print = [&](const std::vector<streamflow::lint::Violation>& vs) {
+    for (const auto& v : vs) {
       std::printf("%s:%zu: %s: %s\n", v.path.c_str(), v.line, v.rule.c_str(),
                   v.message.c_str());
       ++violation_count;
     }
+  };
+  try {
+    for (const fs::path& file : files)
+      print(streamflow::lint::lint_content(policy_path(file, root),
+                                           read_file(file)));
+    if (tree_mode) {
+      std::vector<streamflow::lint::SourceFile> callers;
+      for (const fs::path& file : collect_tree(
+               root, {"src", "tools", "bench", "bench_e2e", "examples"}))
+        callers.push_back({policy_path(file, root), read_file(file)});
+      print(streamflow::lint::lint_unused_api(callers));
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
   if (violation_count != 0) {
