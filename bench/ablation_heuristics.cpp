@@ -40,7 +40,7 @@ Mapping random_mapping(const Application& app, const Platform& platform,
       cursor += take;
     }
     try {
-      Mapping mapping(app, platform, teams);
+      Mapping mapping(make_instance(app, platform), teams);
       if (mapping.num_paths() <= 256) return mapping;
     } catch (const InvalidArgument&) {
     }

@@ -29,7 +29,8 @@ streamflow::Mapping heterogeneous_comm(std::size_t u, streamflow::Prng& prng) {
   std::vector<std::size_t> senders(u), receivers(u);
   for (std::size_t a = 0; a < u; ++a) senders[a] = a;
   for (std::size_t b = 0; b < u; ++b) receivers[b] = u + b;
-  return Mapping(std::move(app), std::move(platform), {senders, receivers});
+  return Mapping(make_instance(std::move(app), std::move(platform)),
+                 {senders, receivers});
 }
 
 }  // namespace

@@ -23,7 +23,8 @@ inline Mapping fig10_system() {
   std::size_t next = 0;
   for (std::size_t i = 0; i < replication.size(); ++i)
     for (std::size_t k = 0; k < replication[i]; ++k) teams[i].push_back(next++);
-  return Mapping(std::move(app), std::move(platform), std::move(teams));
+  return Mapping(make_instance(std::move(app), std::move(platform)),
+                 std::move(teams));
 }
 
 /// §7.4's repeated-pattern chain: k copies of a (5 senders -> 7 receivers)
@@ -49,7 +50,8 @@ inline Mapping fig12_system(std::size_t k, double costly_comm = 1.0,
     for (std::size_t p : teams[i])
       for (std::size_t q : teams[i + 1]) platform.set_bandwidth(p, q, 1.0 / t);
   }
-  return Mapping(std::move(app), std::move(platform), std::move(teams));
+  return Mapping(make_instance(std::move(app), std::move(platform)),
+                 std::move(teams));
 }
 
 /// Single u x v communication with negligible computations (§7.4-§7.6),
@@ -64,7 +66,8 @@ inline Mapping single_comm(std::size_t u, std::size_t v, double d = 1.0,
   std::vector<std::size_t> senders(u), receivers(v);
   for (std::size_t a = 0; a < u; ++a) senders[a] = a;
   for (std::size_t b = 0; b < v; ++b) receivers[b] = u + b;
-  return Mapping(std::move(app), std::move(platform), {senders, receivers});
+  return Mapping(make_instance(std::move(app), std::move(platform)),
+                 {senders, receivers});
 }
 
 }  // namespace streamflow::bench

@@ -63,7 +63,7 @@ void BM_PatternCtmc(benchmark::State& state) {
   std::vector<std::size_t> senders(u), receivers(v);
   for (std::size_t a = 0; a < u; ++a) senders[a] = a;
   for (std::size_t b = 0; b < v; ++b) receivers[b] = u + b;
-  const Mapping mapping(app, platform, {senders, receivers});
+  const Mapping mapping(make_instance(app, platform), {senders, receivers});
   const auto patterns = comm_patterns(mapping, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(pattern_flow_exponential(patterns[0]));

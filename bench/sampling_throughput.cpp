@@ -58,7 +58,8 @@ Mapping bench_mapping() {
   Platform platform{speeds};
   for (std::size_t a = 0; a < 3; ++a)
     for (std::size_t b = 0; b < 2; ++b) platform.set_bandwidth(a, 3 + b, 1.0);
-  return Mapping(std::move(app), std::move(platform), {{0, 1, 2}, {3, 4}});
+  return Mapping(make_instance(std::move(app), std::move(platform)),
+                 {{0, 1, 2}, {3, 4}});
 }
 
 struct Rate {

@@ -64,7 +64,7 @@ Mapping default_instance() {
       platform.set_bandwidth(p, q, 2.0 + 4.0 * prng.uniform01());
     }
   }
-  return Mapping(app, platform,
+  return Mapping(make_instance(app, platform),
                  {{0, 1}, {2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11}, {12, 13}});
 }
 
@@ -126,7 +126,7 @@ std::optional<double> evaluate_throwaway(const Mapping& base,
     if (team.empty()) return std::nullopt;
   }
   try {
-    Mapping mapping(base.application(), base.platform(), teams);
+    Mapping mapping(make_instance(base.application(), base.platform()), teams);
     if (mapping.num_paths() > options.max_paths) return std::nullopt;
     return exponential_throughput(mapping, options.model).throughput;
   } catch (const InvalidArgument&) {
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
     sweep_table.add_row({static_cast<std::int64_t>(t), seconds, sweep_speedup,
                          result.throughput,
                          static_cast<std::int64_t>(result.evaluations)});
-    sweep_json.raw_field("t" + std::to_string(t),
+    sweep_json.raw_field(std::string("t").append(std::to_string(t)),
                          JsonWriter()
                              .integer_field("threads", t)
                              .number_field("seconds", seconds)
@@ -394,7 +394,8 @@ int main(int argc, char** argv) {
               .number_field("throughput", result.throughput)
               .str());
     }
-    prune_json.raw_field("m" + std::to_string(m), size_json.str());
+    prune_json.raw_field(std::string("m").append(std::to_string(m)),
+                         size_json.str());
   }
   streamflow::bench::emit(
       prune_table,

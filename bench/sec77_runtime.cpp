@@ -55,7 +55,8 @@ Mapping strict_chain(const std::vector<std::size_t>& team_sizes, Prng& prng) {
   for (std::size_t i = 0; i < team_sizes.size(); ++i) {
     for (std::size_t r = 0; r < team_sizes[i]; ++r) teams[i].push_back(next++);
   }
-  return Mapping(Application::uniform(team_sizes.size()), std::move(platform),
+  return Mapping(make_instance(Application::uniform(team_sizes.size()),
+                               std::move(platform)),
                  std::move(teams));
 }
 

@@ -63,7 +63,7 @@ Mapping pool_instance(std::size_t variant) {
       bandwidth += 0.0625;
     }
   }
-  return Mapping(application, platform,
+  return Mapping(make_instance(application, platform),
                  {{0},
                   {1, 2, 3, 4},
                   {5, 6, 7, 8, 9},

@@ -36,7 +36,8 @@ streamflow::Mapping build(std::size_t ingest, std::size_t transform) {
     transform_team.push_back(1 + ingest + t);
   // Stage 1 on the frontend, the heavy transform stage on the transform
   // tier, the store stage on the ingest/storage tier.
-  return Mapping(app, platform, {{0}, transform_team, ingest_team});
+  return Mapping(make_instance(app, platform),
+                 {{0}, transform_team, ingest_team});
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ int main() {
                            160.0, 160.0, 160.0, 320.0};
   Platform platform = Platform::star(speeds, nics);
 
-  Mapping mapping(app, platform,
+  Mapping mapping(make_instance(app, platform),
                   {{0}, {1, 2, 3}, {4, 5, 6, 7}, {8}});
   std::cout << "DataCutter chain: " << mapping.to_string() << "\n";
   std::cout << "paths m = lcm(1,3,4,1) = " << mapping.num_paths() << "\n\n";

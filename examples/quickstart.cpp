@@ -27,7 +27,7 @@ int main() {
   platform.set_bandwidth(1, 4, 0.5);  // one slow link for flavor
 
   // --- 3. The one-to-many mapping: T2 on {P1,P2}, T3 on {P3,P4,P5}. ------
-  Mapping mapping(app, platform,
+  Mapping mapping(make_instance(app, platform),
                   {{0}, {1, 2}, {3, 4, 5}, {6}});
   std::cout << mapping.to_string() << "\n";
   std::cout << "round-robin paths m = lcm(1,2,3,1) = " << mapping.num_paths()

@@ -46,7 +46,7 @@ int main() {
 
     std::vector<std::size_t> encode_team;
     for (std::size_t e = 0; e < encoders; ++e) encode_team.push_back(4 + e);
-    Mapping mapping(app, platform,
+    Mapping mapping(make_instance(app, platform),
                     {{0}, {1}, {2}, encode_team, {3}});
 
     const auto det =
@@ -83,7 +83,7 @@ int main() {
   for (std::size_t e = 0; e < 6; ++e)
     speeds.push_back(e % 2 == 0 ? 100.0 : 140.0);
   Platform platform = Platform::fully_connected(speeds, 250.0);
-  Mapping mapping(app, platform,
+  Mapping mapping(make_instance(app, platform),
                   {{0}, {1}, {2}, {4, 5, 6, 7, 8, 9}, {3}});
   const auto exp = exponential_throughput(mapping, ExecutionModel::kOverlap);
   for (const auto& c : exp.components) {

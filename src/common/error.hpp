@@ -1,9 +1,12 @@
 // Error handling primitives shared across all streamflow modules.
 //
 // Library code throws typed exceptions derived from streamflow::Error.
-// SF_CHECK / SF_REQUIRE are used for precondition validation on public API
-// boundaries; they always stay enabled (they guard user input, not internal
-// invariants). SF_ASSERT guards internal invariants and may be compiled out.
+// SF_REQUIRE validates preconditions on public API boundaries; it always
+// stays enabled (it guards user input, not internal invariants), and its
+// message is built from the input alone: "precondition failed: <msg>", with
+// no expression, file or line, so an error response does not move when the
+// source does. SF_ASSERT guards internal invariants and reports where the
+// bug is: expression, file and line.
 #pragma once
 
 #include <sstream>
@@ -38,11 +41,15 @@ class NumericalError : public Error {
 };
 
 namespace detail {
-[[noreturn]] inline void throw_check_failure(const char* kind, const char* expr,
-                                             const char* file, int line,
-                                             const std::string& msg) {
+[[noreturn]] inline void throw_precondition_failure(const std::string& msg) {
+  throw InvalidArgument("precondition failed: " + msg);
+}
+
+[[noreturn]] inline void throw_invariant_failure(const char* expr,
+                                                 const char* file, int line,
+                                                 const std::string& msg) {
   std::ostringstream os;
-  os << kind << " failed: (" << expr << ") at " << file << ":" << line;
+  os << "invariant failed: (" << expr << ") at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
   throw InvalidArgument(os.str());
 }
@@ -51,20 +58,19 @@ namespace detail {
 }  // namespace streamflow
 
 /// Validate a user-facing precondition; throws InvalidArgument on failure.
-#define SF_REQUIRE(cond, msg)                                               \
-  do {                                                                      \
-    if (!(cond)) {                                                          \
-      ::streamflow::detail::throw_check_failure("precondition", #cond,     \
-                                                __FILE__, __LINE__, (msg)); \
-    }                                                                       \
+#define SF_REQUIRE(cond, msg)                                    \
+  do {                                                           \
+    if (!(cond)) {                                               \
+      ::streamflow::detail::throw_precondition_failure((msg));   \
+    }                                                            \
   } while (0)
 
 /// Validate an internal invariant; throws (never compiled out — the cost is
 /// negligible next to the analyses these guard).
-#define SF_ASSERT(cond, msg)                                                \
-  do {                                                                      \
-    if (!(cond)) {                                                          \
-      ::streamflow::detail::throw_check_failure("invariant", #cond,        \
-                                                __FILE__, __LINE__, (msg)); \
-    }                                                                       \
+#define SF_ASSERT(cond, msg)                                          \
+  do {                                                                \
+    if (!(cond)) {                                                    \
+      ::streamflow::detail::throw_invariant_failure(#cond, __FILE__,  \
+                                                    __LINE__, (msg)); \
+    }                                                                 \
   } while (0)

@@ -32,13 +32,13 @@ std::string json_escape(const std::string& text) {
 
 void JsonWriter::begin_field(const std::string& key) {
   if (!body_.empty()) body_ += ",";
-  body_ += "\"" + json_escape(key) + "\":";
+  body_.append("\"").append(json_escape(key)).append("\":");
 }
 
 JsonWriter& JsonWriter::string_field(const std::string& key,
                                      const std::string& value) {
   begin_field(key);
-  body_ += "\"" + json_escape(value) + "\"";
+  body_.append("\"").append(json_escape(value)).append("\"");
   return *this;
 }
 

@@ -34,7 +34,6 @@ class SF_CAPABILITY("mutex") Mutex {
 
   void lock() SF_ACQUIRE() { raw_.lock(); }
   void unlock() SF_RELEASE() { raw_.unlock(); }
-  bool try_lock() SF_TRY_ACQUIRE(true) { return raw_.try_lock(); }
 
  private:
   friend class CondVar;
@@ -70,7 +69,6 @@ class CondVar {
   /// wakeups are possible: always call from a `while (!pred)` loop.
   void wait(Mutex& mutex) SF_REQUIRES(mutex) { raw_.wait(mutex); }
 
-  void notify_one() { raw_.notify_one(); }
   void notify_all() { raw_.notify_all(); }
 
  private:

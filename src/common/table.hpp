@@ -20,9 +20,6 @@ class Table {
   /// Appends one row; the cell count must match the header count.
   void add_row(std::vector<Cell> cells);
 
-  /// Number of data rows added so far.
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Renders with padded columns, a header underline, and `title` above.
   void print(std::ostream& os, const std::string& title = "") const;
 

@@ -44,11 +44,6 @@
 /// Function releases the capability; the caller must hold it.
 #define SF_RELEASE(...) SF_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Function attempts the acquisition; the first argument is the return value
-/// that signals success.
-#define SF_TRY_ACQUIRE(...) \
-  SF_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 /// Caller must hold the capability for the duration of the call (the
 /// function neither acquires nor releases it).
 #define SF_REQUIRES(...) SF_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))

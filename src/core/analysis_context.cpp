@@ -29,6 +29,13 @@ std::string component_label(std::size_t file_index, std::size_t component,
   return os.str();
 }
 
+/// "T<stage>/P<processor>", stages counted from 1.
+std::string processor_label(std::size_t stage, std::size_t p) {
+  std::ostringstream os;
+  os << "T" << (stage + 1) << "/P" << p;
+  return os.str();
+}
+
 }  // namespace
 
 AnalysisContext::AnalysisContext(ExponentialOptions options)
@@ -168,8 +175,8 @@ void AnalysisContext::compose(const Mapping& mapping,
     in_order = std::min(
         in_order, eff_[p] * static_cast<double>(mapping.replication(0)));
     if (want_components) {
-      out.components.push_back(ComponentInfo{
-          "T1/P" + std::to_string(p), eff_[p], eff_[p], false});
+      out.components.push_back(
+          ComponentInfo{processor_label(0, p), eff_[p], eff_[p], false});
     }
   }
 
@@ -205,8 +212,7 @@ void AnalysisContext::compose(const Mapping& mapping,
           in_order, inner * static_cast<double>(mapping.replication(i + 1)));
       if (want_components) {
         out.components.push_back(ComponentInfo{
-            "T" + std::to_string(i + 2) + "/P" + std::to_string(q), inner,
-            eff_[q], eff_[q] < inner});
+            processor_label(i + 1, q), inner, eff_[q], eff_[q] < inner});
       }
     }
   }
@@ -219,16 +225,7 @@ void AnalysisContext::compose(const Mapping& mapping,
 
 ExponentialThroughput AnalysisContext::exponential(const Mapping& mapping,
                                                    ExecutionModel model) {
-  ExponentialMethod method = options_.method;
-  if (method == ExponentialMethod::kAuto) {
-    method = model == ExecutionModel::kOverlap
-                 ? ExponentialMethod::kColumns
-                 : ExponentialMethod::kGeneralCtmc;
-  }
-  if (method == ExponentialMethod::kColumns) {
-    SF_REQUIRE(model == ExecutionModel::kOverlap,
-               "the column decomposition (Theorem 3) applies to the Overlap "
-               "model only; use kGeneralCtmc for Strict");
+  if (model == ExecutionModel::kOverlap) {
     ExponentialThroughput result;
     evaluate_columns(mapping, full_columns_, /*want_components=*/true, result);
     return result;

@@ -106,8 +106,6 @@ class AnalysisContext {
  public:
   explicit AnalysisContext(ExponentialOptions options = {});
 
-  const ExponentialOptions& exponential_options() const { return options_; }
-
   /// Drop-in for the free exponential_throughput(): same contract, same
   /// bits, but pattern solves go through the store and arenas are reused.
   ExponentialThroughput exponential(
@@ -133,8 +131,9 @@ class AnalysisContext {
   double set_base(Mapping mapping, const MappingSearchOptions& options,
                   bool count_evaluation = true);
 
-  bool has_base() const { return base_mapping_.has_value(); }
+  // lint:allow(unused-api): the tests' observation point of the pinned base
   const Mapping& base_mapping() const;
+  // lint:allow(unused-api): the tests' observation point of the base score
   double base_score() const;
 
   /// Outcome of one probe_move() call.

@@ -1,22 +1,22 @@
 // Public entry point of the library: throughput analysis of a replicated
 // mapping under deterministic, exponential, and general N.B.U.E. timing.
 //
-//   Mapping mapping(app, platform, teams);
+//   Mapping mapping(make_instance(app, platform), teams);
 //   auto det = deterministic_throughput(mapping, ExecutionModel::kOverlap);
 //   auto exp = exponential_throughput(mapping, ExecutionModel::kOverlap);
 //   auto bounds = nbue_throughput_bounds(mapping, ExecutionModel::kOverlap);
 //
-// Exponential methods (§5):
-//  * kColumns (Overlap only): the component decomposition of Theorem 3 —
+// Exponential methods (§5), chosen by the execution model:
+//  * kColumns for Overlap: the component decomposition of Theorem 3 —
 //    per-column communication patterns solved on their Young-diagram CTMCs
 //    (or Theorem 4's closed form when the column is homogeneous), composed
 //    over the component DAG by the saturation rule. Polynomial whenever the
 //    pattern sizes stay moderate; exact.
-//  * kGeneralCtmc: Theorem 2's reachability CTMC on the full net. Exact for
-//    Strict (whose net is 1-safe); for Overlap it models finite inter-stage
-//    buffers of `place_capacity` tokens and converges to the unbounded net
-//    from below as the capacity grows.
-//  * kAuto: kColumns for Overlap, kGeneralCtmc for Strict.
+//  * kGeneralCtmc for Strict: Theorem 2's reachability CTMC on the full
+//    net, exact because the Strict net is 1-safe. On an Overlap net
+//    (detail::general_ctmc_throughput) it models finite inter-stage buffers
+//    of `place_capacity` tokens and converges to the unbounded net from
+//    below as the capacity grows; the tests use it as that reference.
 //
 // Note on composition units: the component throughputs are composed as
 // data-set flows with conservation across the DAG (a communication pattern
@@ -36,20 +36,20 @@
 
 namespace streamflow {
 
+/// The method that produced an ExponentialThroughput.
 enum class ExponentialMethod {
-  kAuto,
   kColumns,
   kGeneralCtmc,
 };
 
 struct ExponentialOptions {
-  ExponentialMethod method = ExponentialMethod::kAuto;
   /// Caps for the CTMC solves (pattern chains and the general method).
   std::size_t max_states = 250'000;
   /// Finite-buffer capacity for the Overlap general method (see header).
+  // lint:allow(unset-option): the tests' finite-buffer sweep sets it
   int place_capacity = 8;
   /// Cap on the TPN row count m for the general method.
-  std::int64_t max_rows = 1 << 20;
+  static constexpr std::int64_t max_rows = 1 << 20;
 };
 
 /// Per-component diagnostic of the column method.
@@ -84,8 +84,9 @@ ExponentialThroughput exponential_throughput(
     const ExponentialOptions& options = {});
 
 namespace detail {
-/// Theorem 2's general reachability-CTMC path, used when the column method
-/// does not apply. Exposed for AnalysisContext; not part of the public API.
+/// Theorem 2's general reachability-CTMC path: the Strict method, and on an
+/// Overlap net the finite-buffer reference the tests hold the column method
+/// to. Exposed for AnalysisContext; not part of the public API.
 ExponentialThroughput general_ctmc_throughput(const Mapping& mapping,
                                               ExecutionModel model,
                                               const ExponentialOptions& options);

@@ -283,6 +283,9 @@ void validate_mapping_search(const InstancePtr& instance,
                  instance->application.num_stages(),
              "need at least one processor per stage");
   SF_REQUIRE(options.max_paths >= 1, "max_paths must be at least 1");
+  SF_REQUIRE(options.restarts <= MappingSearchOptions::kMaxRestarts,
+             "restarts must be at most " +
+                 std::to_string(MappingSearchOptions::kMaxRestarts));
   if (options.objective == MappingObjective::kExponential) {
     SF_REQUIRE(options.model == ExecutionModel::kOverlap,
                "the exponential objective uses the column method, which "

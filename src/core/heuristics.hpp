@@ -89,9 +89,12 @@ struct MappingSearchOptions {
   /// Random restarts of the local search (the first start is greedy).
   /// Values 0 and 1 are equivalent: both run the greedy construction plus
   /// one local-search pass and no random restart (tested in
-  /// tests/test_heuristics.cpp).
+  /// tests/test_heuristics.cpp). At most kMaxRestarts, checked before any
+  /// restart is allocated.
   std::size_t restarts = 4;
+  static constexpr std::size_t kMaxRestarts = 4096;
   /// Local-search sweeps per start before giving up on improvement.
+  // lint:allow(unset-option): tests pin the evaluation accounting through it
   std::size_t max_sweeps = 50;
   /// Reject mappings with lcm(R_1..R_N) above this (>= 1).
   std::int64_t max_paths = 256;

@@ -76,16 +76,6 @@ class Distribution {
   /// Rescaling x -> c*x preserves is_nbue() and the squared coefficient of
   /// variation (the Fig 16/17 protocol: one family, per-resource means).
   virtual DistributionPtr with_mean(double target_mean) const = 0;
-
-  /// Squared coefficient of variation, variance / mean^2 (1 for exponential,
-  /// 0 for constant — including the zero-valued constant, where the ratio
-  /// alone would be 0/0; the all_exponential() heuristic keys off this).
-  double cv2() const {
-    const double v = variance();
-    if (v == 0.0) return 0.0;
-    const double m = mean();
-    return v / (m * m);
-  }
 };
 
 /// Degenerate law: always exactly `value` (deterministic timings of §3/§4).

@@ -48,8 +48,9 @@ std::string corpus_law_spec(std::size_t index) {
 }
 
 std::string Scenario::label() const {
-  return "s" + std::to_string(id) + "[" + to_string(regime) + "," +
-         law->spec() + "]";
+  std::ostringstream os;
+  os << 's' << id << '[' << to_string(regime) << ',' << law->spec() << ']';
+  return os.str();
 }
 
 RandomInstanceOptions regime_instance_options(ScenarioRegime regime,

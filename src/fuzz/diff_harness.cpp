@@ -176,17 +176,6 @@ void HarnessOptions::validate() const {
   SF_REQUIRE(replications >= 2,
              "need at least two replications for a confidence interval");
   SF_REQUIRE(data_sets >= 10, "need at least 10 data sets per replication");
-  SF_REQUIRE(ci_sigmas > 0.0 && std::isfinite(ci_sigmas),
-             "ci_sigmas must be positive and finite");
-  SF_REQUIRE(rel_slack >= 0.0 && std::isfinite(rel_slack),
-             "rel_slack must be non-negative and finite");
-}
-
-bool ScenarioVerdict::diverged() const {
-  for (const CheckResult& check : checks) {
-    if (check.status == CheckStatus::kFail) return true;
-  }
-  return false;
 }
 
 ScenarioVerdict check_scenario(const Scenario& scenario,

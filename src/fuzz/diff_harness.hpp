@@ -139,11 +139,11 @@ struct HarnessOptions {
   /// beyond ci_sigmas * hw + rel_slack * |b|. The relative term absorbs the
   /// finite-horizon bias of the simulators (they measure a finite window of
   /// a process that converges to the asymptotic rate).
-  double ci_sigmas = 4.0;
-  double rel_slack = 0.04;
+  static constexpr double ci_sigmas = 4.0;
+  static constexpr double rel_slack = 0.04;
   /// Experiment seed of the replicated simulations (distinct from the
   /// corpus seed so corpus index and replication substreams never alias).
-  std::uint64_t sim_seed = 0x5EEDF00D;
+  static constexpr std::uint64_t sim_seed = 0x5EEDF00D;
 
   void validate() const;
 };
@@ -161,8 +161,6 @@ struct ScenarioVerdict {
   double exp_sim_hw = 0.0;           ///< its t 95% CI halfwidth
   double law_sim_mean = 0.0;         ///< scenario-law sim mean
   double law_sim_hw = 0.0;
-
-  bool diverged() const;
 };
 
 /// A failing check, minimized and packaged for replay.

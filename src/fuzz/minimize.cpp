@@ -40,8 +40,10 @@ Scenario rebuild(const Scenario& base, std::vector<double> works,
   for (auto& team : teams) {
     for (std::size_t& p : team) p = remap[p];
   }
-  Mapping mapping{Application{std::move(works), std::move(files)},
-                  std::move(platform), std::move(teams)};
+  Mapping mapping{
+      make_instance(Application{std::move(works), std::move(files)},
+                    std::move(platform)),
+      std::move(teams)};
   return Scenario{base.id, base.regime, std::move(mapping), base.law,
                   base.model};
 }

@@ -22,8 +22,9 @@ struct StationaryOptions {
   /// not let slow states of a stiff chain hide behind one fast rate. A
   /// state without exits (only possible in a one-state chain) contributes
   /// nothing.
-  double tolerance = 1e-12;
+  static constexpr double tolerance = 1e-12;
   /// Sweep cap; reaching it throws NumericalError.
+  // lint:allow(unset-option): tests reach the non-convergence error through it
   std::size_t max_iterations = 100'000;
 };
 

@@ -46,14 +46,6 @@ void apply_telemetry(GeneralMethodResult& result,
 }  // namespace
 
 std::vector<double> stationary_frequencies(const TimedEventGraph& graph,
-                                           const std::vector<double>& rates,
-                                           const GeneralMethodOptions& options) {
-  const TpnMarkovChain chain =
-      explore_markings(graph, rates, options.reachability);
-  return stationary_frequencies(graph, chain, rates, options);
-}
-
-std::vector<double> stationary_frequencies(const TimedEventGraph& graph,
                                            const TpnMarkovChain& chain,
                                            const std::vector<double>& rates,
                                            const GeneralMethodOptions& options) {

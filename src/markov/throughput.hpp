@@ -14,6 +14,7 @@ namespace streamflow {
 struct GeneralMethodOptions {
   ReachabilityOptions reachability;
   /// The stationary solve: residual-bounded Gauss–Seidel at every size.
+  // lint:allow(unset-option): carries the sweep cap the tests lower
   StationaryOptions stationary;
 };
 
@@ -48,13 +49,7 @@ std::vector<double> rates_from_durations(const TimedEventGraph& graph);
 /// Stationary firing frequency of each transition: freq[t] = rate[t] *
 /// P(t enabled). The long-run output rate of the system is the sum of the
 /// frequencies over the last-column transitions (one completed data set per
-/// firing).
-std::vector<double> stationary_frequencies(const TimedEventGraph& graph,
-                                           const std::vector<double>& rates,
-                                           const GeneralMethodOptions& options = {});
-
-/// Overload reusing an already-explored chain (avoids a second reachability
-/// pass when the caller needs the chain's metadata too).
+/// firing). `chain` is the graph's explored reachability chain.
 std::vector<double> stationary_frequencies(const TimedEventGraph& graph,
                                            const TpnMarkovChain& chain,
                                            const std::vector<double>& rates,

@@ -15,8 +15,9 @@ namespace streamflow {
 
 struct TransientOptions {
   /// Truncation error bound for the uniformization (Poisson tail mass).
-  double epsilon = 1e-10;
+  static constexpr double epsilon = 1e-10;
   /// Hard cap on uniformization steps (guards pathological horizons).
+  // lint:allow(unset-option): tests reach the step-cap error through it
   std::size_t max_steps = 2'000'000;
 };
 

@@ -27,12 +27,10 @@ Mapping::Mapping(InstancePtr instance,
   SF_REQUIRE(teams_.size() == n, "need exactly one team per stage");
 
   stage_of_.assign(m, kUnused);
-  team_index_of_.assign(m, 0);
   for (std::size_t i = 0; i < n; ++i) {
     SF_REQUIRE(!teams_[i].empty(),
                "stage " + std::to_string(i + 1) + " has an empty team");
-    for (std::size_t k = 0; k < teams_[i].size(); ++k) {
-      const std::size_t p = teams_[i][k];
+    for (const std::size_t p : teams_[i]) {
       SF_REQUIRE(p < m, "team of stage " + std::to_string(i + 1) +
                             " references unknown processor " +
                             std::to_string(p));
@@ -40,7 +38,6 @@ Mapping::Mapping(InstancePtr instance,
                  "processor " + std::to_string(p) +
                      " is assigned to more than one stage");
       stage_of_[p] = i;
-      team_index_of_[p] = k;
     }
   }
 
@@ -85,11 +82,6 @@ Mapping::Mapping(InstancePtr instance,
                  std::vector<std::vector<std::size_t>> teams)
     : Mapping(std::move(instance), std::move(teams),
               /*validate_column=*/nullptr) {}
-
-Mapping::Mapping(Application application, Platform platform,
-                 std::vector<std::vector<std::size_t>> teams)
-    : Mapping(make_instance(std::move(application), std::move(platform)),
-              std::move(teams), /*validate_column=*/nullptr) {}
 
 Mapping Mapping::with_teams(const Mapping& base,
                             std::vector<std::vector<std::size_t>> teams,
@@ -147,7 +139,9 @@ double Mapping::comm_time(std::size_t sender, std::size_t receiver) const {
 CycleTime Mapping::cycle_time(std::size_t p) const {
   const std::size_t i = stage_of(p);
   SF_REQUIRE(i != kUnused, "processor is not mapped to any stage");
-  const std::size_t a = team_index_of(p);
+  // p's round-robin offset inside its team.
+  const std::size_t a = static_cast<std::size_t>(
+      std::find(teams_[i].begin(), teams_[i].end(), p) - teams_[i].begin());
   const auto r_i = static_cast<std::int64_t>(teams_[i].size());
 
   CycleTime ct;

@@ -63,13 +63,6 @@ class Mapping {
   /// running the full validation above.
   Mapping(InstancePtr instance, std::vector<std::vector<std::size_t>> teams);
 
-  /// Compatibility constructor: wraps the application and platform into a
-  /// freshly allocated shared instance (one allocation here — derived
-  /// mappings share it). Prefer the InstancePtr overload when constructing
-  /// many mappings of one instance.
-  Mapping(Application application, Platform platform,
-          std::vector<std::vector<std::size_t>> teams);
-
   /// Trusted derive-from-base construction for local search: shares the
   /// base's instance and revalidates ONLY the inter-team links adjacent to
   /// a stage listed in `touched_stages` (entries equal to kUnused are
@@ -113,13 +106,6 @@ class Mapping {
   std::size_t stage_of(std::size_t p) const {
     SF_REQUIRE(p < stage_of_.size(), "processor index out of range");
     return stage_of_[p];
-  }
-
-  /// Position of processor p inside its team (its round-robin offset).
-  std::size_t team_index_of(std::size_t p) const {
-    SF_REQUIRE(p < team_index_of_.size(), "processor index out of range");
-    SF_REQUIRE(stage_of_[p] != kUnused, "processor is not mapped");
-    return team_index_of_[p];
   }
 
   /// Number of distinct round-robin paths m = lcm(R_1..R_N) (Proposition 1).
@@ -186,7 +172,7 @@ class Mapping {
   std::string to_string() const;
 
  private:
-  /// Shared implementation of the validating constructors and with_teams:
+  /// Shared implementation of the validating constructor and with_teams:
   /// when `validate_column` is non-null, only columns it flags get the
   /// O(R^2) link-bandwidth check (the structural checks always run).
   Mapping(InstancePtr instance, std::vector<std::vector<std::size_t>> teams,
@@ -195,7 +181,6 @@ class Mapping {
   InstancePtr instance_;
   std::vector<std::vector<std::size_t>> teams_;
   std::vector<std::size_t> stage_of_;
-  std::vector<std::size_t> team_index_of_;
   std::int64_t num_paths_ = 1;
 };
 

@@ -48,16 +48,6 @@ void Platform::set_bandwidth(std::size_t p, std::size_t q, double bandwidth) {
   bandwidths_[q * m + p] = bandwidth;
 }
 
-bool Platform::homogeneous_network() const {
-  double seen = 0.0;
-  for (double b : bandwidths_) {
-    if (b == 0.0) continue;
-    if (seen == 0.0) seen = b;
-    if (b != seen) return false;
-  }
-  return true;
-}
-
 std::string Platform::to_string() const {
   std::ostringstream os;
   os << "Platform[" << num_processors() << " processors; speeds:";

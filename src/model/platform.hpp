@@ -41,10 +41,6 @@ class Platform {
   /// Sets the bandwidth of the (bidirectional) link p <-> q.
   void set_bandwidth(std::size_t p, std::size_t q, double bandwidth);
 
-  /// True if every defined link has the same bandwidth (§5.3's homogeneous
-  /// communication network; enables the closed-form Theorem 4).
-  bool homogeneous_network() const;
-
   std::string to_string() const;
 
  private:

@@ -165,14 +165,14 @@ Mapping random_instance(const RandomInstanceOptions& options, Prng& prng) {
   };
   Platform platform{speeds};
   for (std::size_t i = 0; i + 1 < options.num_stages; ++i) {
-    const double column_time = prng.uniform(options.comm_min, options.comm_max);
+    // One uniform per column is drawn and discarded before the column's
+    // links: the pinned draw sequence, and so every generated instance,
+    // corpus scenario and fuzz digest, includes it.
+    (void)prng.uniform(options.comm_min, options.comm_max);
     for (std::size_t p : teams[i]) {
       for (std::size_t q : teams[i + 1]) {
-        double comm_time =
-            options.homogeneous_network
-                ? column_time
-                : prng.uniform(options.comm_min, options.comm_max);
-        if (!options.homogeneous_network) comm_time *= heterogeneity();
+        double comm_time = prng.uniform(options.comm_min, options.comm_max);
+        comm_time *= heterogeneity();
         platform.set_bandwidth(p, q, app.file_size(i) / comm_time);
       }
     }

@@ -21,10 +21,6 @@ struct RandomInstanceOptions {
   /// Communication times drawn uniformly from [comm_min, comm_max] (seconds).
   double comm_min = 5.0;
   double comm_max = 15.0;
-  /// If true the network is homogeneous: one communication time per
-  /// inter-stage file (shared by all links of that column) instead of one
-  /// per link.
-  bool homogeneous_network = false;
   /// Cap on the lcm of the replication factors (TPN row count); the
   /// generator re-draws team sizes until the cap holds.
   std::int64_t max_paths = 4096;
@@ -49,8 +45,7 @@ struct RandomInstanceOptions {
   /// Heterogeneous-bandwidth platforms: every communication time is
   /// multiplied by an independent log-uniform factor in [1/h, h], pushing
   /// link speeds far outside the uniform [comm_min, comm_max] band. 1 (the
-  /// default) disables the multiplier. Ignored when homogeneous_network is
-  /// set (a heterogeneous homogeneous network is a contradiction).
+  /// default) disables the multiplier.
   double bandwidth_heterogeneity = 1.0;
   /// Deep-replication team sizes: when > 0, team sizes come from a
   /// preferential-attachment composition (every stage gets one processor,

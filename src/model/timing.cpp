@@ -1,6 +1,5 @@
 #include "model/timing.hpp"
 
-#include <cmath>
 
 namespace streamflow {
 
@@ -85,19 +84,6 @@ bool StochasticTiming::all_nbue() const {
     if (law && !law->is_nbue()) return false;
   for (const auto& law : comm_)
     if (law && !law->is_nbue()) return false;
-  return true;
-}
-
-bool StochasticTiming::all_exponential() const {
-  auto exp_or_const = [](const DistributionPtr& law) {
-    if (!law) return true;
-    const double c = law->cv2();
-    return c == 0.0 || std::fabs(c - 1.0) < 1e-12;
-  };
-  for (const auto& law : comp_)
-    if (!exp_or_const(law)) return false;
-  for (const auto& law : comm_)
-    if (!exp_or_const(law)) return false;
   return true;
 }
 

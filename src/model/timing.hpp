@@ -41,12 +41,6 @@ class StochasticTiming {
   /// True if every assigned law is N.B.U.E. (Theorem 7's bounds then hold).
   bool all_nbue() const;
 
-  /// True if every assigned law looks exponential-or-constant. Exact family
-  /// membership is not checkable through the abstract interface, so this
-  /// reports whether each law's squared coefficient of variation is 1
-  /// (exponential) or 0 (constant).
-  bool all_exponential() const;
-
   std::size_t num_processors() const { return comp_.size(); }
 
  private:

@@ -182,7 +182,7 @@ std::string FlatRequest::take_id() {
     taken_[i] = true;
     const JsonValue& value = fields_[i].second;
     if (value.kind == JsonValue::Kind::kString) {
-      return "\"" + json_escape(value.text) + "\"";
+      return std::string("\"").append(json_escape(value.text)).append("\"");
     }
     if (value.kind == JsonValue::Kind::kNumber) return value.text;
     throw InvalidArgument("field \"id\" must be a string or a number");

@@ -180,9 +180,7 @@ PipelineSimResult run(const Mapping& mapping, ExecutionModel model,
                                  : comp_done[i + 1].get(n, r[i + 1]);
           xfer_ready = std::max(xfer_ready, receiver_prev);
         }
-        const double duration =
-            sampler.comm(i, n) / options.bandwidth_efficiency;
-        xfer_done[i].set(n, xfer_ready + duration);
+        xfer_done[i].set(n, xfer_ready + sampler.comm(i, n));
       }
     }
     const double done = comp_done[n_stages - 1].get(n, 0);
@@ -227,8 +225,6 @@ void PipelineSimOptions::validate() const {
   SF_REQUIRE(data_sets >= 10, "need at least 10 data sets");
   SF_REQUIRE(warmup_fraction >= 0.0 && warmup_fraction < 1.0,
              "warmup fraction must be in [0, 1)");
-  SF_REQUIRE(bandwidth_efficiency > 0.0 && bandwidth_efficiency <= 1.0,
-             "bandwidth efficiency must be in (0, 1]");
 }
 
 PipelineSimResult simulate_pipeline(const Mapping& mapping,

@@ -34,9 +34,6 @@ struct PipelineSimOptions {
   /// Seed for the seed-taking simulate overloads; ignored when a Prng is
   /// injected (the experiment engine derives substreams itself).
   std::uint64_t seed = 42;
-  /// Fraction of the nominal bandwidth actually achievable; the paper's
-  /// SimGrid runs use 0.92 (communication times are divided by this).
-  double bandwidth_efficiency = 1.0;
   /// Refill kernel of the per-resource samplers: each resource (team
   /// member's compute unit, link, association multiplier slot) draws from
   /// its own pure split() substream of the injected stream's entry state,
@@ -46,7 +43,7 @@ struct PipelineSimOptions {
   simd::Isa refill_isa = simd::Isa::kAuto;
 
   /// Rejects out-of-range settings (data_sets < 10, warmup_fraction outside
-  /// [0, 1) — including NaN — or bandwidth_efficiency outside (0, 1]).
+  /// [0, 1) — including NaN).
   /// Called by every simulate entry point.
   void validate() const;
 };

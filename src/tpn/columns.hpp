@@ -43,8 +43,6 @@ struct CommPattern {
   std::vector<double> durations;
 
   std::size_t size() const { return u * v; }
-  std::size_t sender_of(std::size_t t) const { return t % u; }
-  std::size_t receiver_of(std::size_t t) const { return t % v; }
 
   /// True if all link times in the pattern are equal (enables Theorem 4's
   /// closed form).

@@ -49,7 +49,7 @@ Mapping base_instance() {
   Application app({2.0, 6.0, 4.0, 1.0}, {1.0, 3.0, 1.0});
   Platform platform = heterogeneous_platform(
       {2.0, 1.5, 1.0, 1.2, 0.8, 1.1, 2.5, 0.9, 1.4}, {{0, 7}});
-  return Mapping(app, platform,
+  return Mapping(make_instance(app, platform),
                  {{0, 1}, {2, 3, 4}, {5}, {6, 7, 8}});
 }
 
@@ -76,7 +76,7 @@ std::optional<double> full_reevaluation(const Mapping& base,
     if (team.empty()) return std::nullopt;
   }
   try {
-    Mapping mapping(base.application(), base.platform(), teams);
+    Mapping mapping(make_instance(base.application(), base.platform()), teams);
     if (mapping.num_paths() > options.max_paths) return std::nullopt;
     if (options.objective == MappingObjective::kExponential) {
       return exponential_throughput(mapping, options.model).throughput;
@@ -201,7 +201,8 @@ TEST(AnalysisContext, EvaluateMoveMatchesFullForEveryMoveKind) {
 TEST(AnalysisContext, MaxPathsRejectionMatchesRealize) {
   Application app({1.0, 2.0, 1.0}, {0.5, 0.5});
   Platform platform = heterogeneous_platform({1.0, 1.0, 1.0, 1.0, 1.0, 1.0});
-  const Mapping base(app, platform, {{0}, {1, 2, 3}, {4, 5}});  // lcm = 6
+  const Mapping base(make_instance(app, platform),
+                     {{0}, {1, 2, 3}, {4, 5}});  // lcm = 6
   MappingSearchOptions options;
   options.max_paths = 6;
   AnalysisContext context;
@@ -240,7 +241,9 @@ TEST(AnalysisContext, CommitMoveRebasesOntoTheEvaluatedCandidate) {
   const auto incremental = context.evaluate_move(next);
   const auto full = full_reevaluation(context.base_mapping(), next, options);
   ASSERT_EQ(incremental.has_value(), full.has_value());
-  if (incremental) EXPECT_EQ(*incremental, *full);
+  if (incremental) {
+    EXPECT_EQ(*incremental, *full);
+  }
 
   // Committing without (or after) a matching probe is a contract violation.
   EXPECT_THROW(context.commit_move(MappingMove::swap(0, 3)), InvalidArgument);
@@ -249,7 +252,8 @@ TEST(AnalysisContext, CommitMoveRebasesOntoTheEvaluatedCandidate) {
 TEST(AnalysisContext, CacheStatsAreExact) {
   Application app({1.0, 2.0}, {1.0});
   Platform het = heterogeneous_platform({1.0, 1.0, 1.0, 1.0, 1.0});
-  const Mapping mapping(app, het, {{0, 1}, {2, 3, 4}});  // one 2x3 pattern
+  const Mapping mapping(make_instance(app, het),
+                        {{0, 1}, {2, 3, 4}});  // one 2x3 pattern
 
   // No store attached: the context reads its own.
   AnalysisContext context;
@@ -266,7 +270,7 @@ TEST(AnalysisContext, CacheStatsAreExact) {
 
   // A homogeneous network goes through Theorem 4's closed form: no cache.
   Platform uniform = Platform::fully_connected({1.0, 1.0, 1.0, 1.0, 1.0}, 2.0);
-  const Mapping homogeneous(app, uniform, {{0, 1}, {2, 3, 4}});
+  const Mapping homogeneous(make_instance(app, uniform), {{0, 1}, {2, 3, 4}});
   AnalysisContext closed;
   closed.exponential(homogeneous);
   closed.exponential(homogeneous);
@@ -291,7 +295,8 @@ TEST(AnalysisContext, ColumnReuseCountsAreExact) {
                   {1.0, 1.0, 1.0, 1.0, 1.0});
   Platform platform =
       heterogeneous_platform({2.0, 1.0, 1.5, 1.2, 0.8, 1.1});
-  const Mapping base(app, platform, {{0}, {1}, {2}, {3}, {4}, {5}});
+  const Mapping base(make_instance(app, platform),
+                     {{0}, {1}, {2}, {3}, {4}, {5}});
 
   MappingSearchOptions options;
   AnalysisContext context;
@@ -311,8 +316,8 @@ TEST(AnalysisContext, CacheSharesPatternsAcrossMappings) {
   Application app({2.0, 6.0, 1.0}, {1.0, 1.0});
   Platform platform =
       heterogeneous_platform({2.0, 1.5, 1.0, 1.2, 0.8, 1.1, 2.5});
-  const Mapping first(app, platform, {{0, 1}, {2, 3, 4}, {5}});
-  const Mapping second(app, platform, {{0, 1}, {2, 3, 4}, {6}});
+  const Mapping first(make_instance(app, platform), {{0, 1}, {2, 3, 4}, {5}});
+  const Mapping second(make_instance(app, platform), {{0, 1}, {2, 3, 4}, {6}});
 
   AnalysisContext context;
   context.exponential(first);
@@ -343,7 +348,7 @@ TEST(AnalysisContext, EvaluateAndCommitShareTheBaseInstance) {
 TEST(AnalysisContext, SetBaseRequiresSortedTeams) {
   Application app({1.0, 1.0}, {1.0});
   Platform platform = Platform::fully_connected({1.0, 1.0, 1.0}, 1.0);
-  const Mapping unsorted(app, platform, {{0}, {2, 1}});
+  const Mapping unsorted(make_instance(app, platform), {{0}, {2, 1}});
   MappingSearchOptions options;
   AnalysisContext context;
   EXPECT_THROW(context.set_base(unsorted, options), InvalidArgument);

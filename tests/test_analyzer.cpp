@@ -23,15 +23,6 @@ TEST(Analyzer, SingleProcessorExponential) {
   EXPECT_EQ(strict.method_used, ExponentialMethod::kGeneralCtmc);
 }
 
-TEST(Analyzer, ColumnsRequiresOverlap) {
-  const Mapping mapping = testing::chain_mapping({1.0, 1.0}, {1.0});
-  ExponentialOptions options;
-  options.method = ExponentialMethod::kColumns;
-  EXPECT_THROW(
-      exponential_throughput(mapping, ExecutionModel::kStrict, options),
-      InvalidArgument);
-}
-
 TEST(Analyzer, TandemChainIsMinOfRates) {
   // Overlap chain without replication: saturation rule gives the min rate.
   const Mapping mapping = testing::chain_mapping({2.0, 5.0, 4.0}, {1.0, 1.0});
@@ -90,13 +81,12 @@ TEST_P(ColumnsVsGeneralTest, GeneralCtmcApproachesColumns) {
       exponential_throughput(mapping, ExecutionModel::kOverlap).throughput;
 
   ExponentialOptions general;
-  general.method = ExponentialMethod::kGeneralCtmc;
   general.max_states = 600'000;
   double previous = 0.0;
   for (int capacity : {2, 4, 8, 12}) {
     general.place_capacity = capacity;
-    const auto r =
-        exponential_throughput(mapping, ExecutionModel::kOverlap, general);
+    const auto r = detail::general_ctmc_throughput(
+        mapping, ExecutionModel::kOverlap, general);
     EXPECT_GE(r.throughput, previous - 1e-9) << mapping.to_string();
     EXPECT_LE(r.throughput, columns * (1.0 + 1e-6)) << mapping.to_string();
     previous = r.throughput;

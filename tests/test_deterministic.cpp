@@ -50,7 +50,7 @@ TEST(Deterministic, ReplicationMultipliesComputeThroughput) {
     Platform platform = Platform::fully_connected(speeds, 1e6);
     std::vector<std::size_t> mid(k);
     for (std::size_t i = 0; i < k; ++i) mid[i] = 1 + i;
-    Mapping mapping(app, platform, {{0}, mid, {1 + k}});
+    Mapping mapping(make_instance(app, platform), {{0}, mid, {1 + k}});
     const auto r = deterministic_throughput(mapping, ExecutionModel::kOverlap);
     EXPECT_NEAR(r.throughput, static_cast<double>(k) / 4.0, 1e-9);
   }
@@ -63,7 +63,7 @@ TEST(Deterministic, RoundRobinPacedBySlowestReplica) {
   Platform platform =
       Platform::fully_connected({1e6, 1.0, 0.25, 1e6}, 1e6);
   // Stage 2 on P1 (comp 1) and P2 (comp 4).
-  Mapping mapping(app, platform, {{0}, {1, 2}, {3}});
+  Mapping mapping(make_instance(app, platform), {{0}, {1, 2}, {3}});
   const auto r = deterministic_throughput(mapping, ExecutionModel::kOverlap);
   // Period per data set = 4/2 = 2 (not (1+4)/2): the slow replica paces.
   EXPECT_NEAR(r.throughput, 0.5, 1e-6);
@@ -78,7 +78,7 @@ TEST(Deterministic, ReplicatedLastStageSumsIndependentRates) {
   Platform platform({1e6, 1.0, 0.25});
   platform.set_bandwidth(0, 1, 1e6);
   platform.set_bandwidth(0, 2, 1e6);
-  Mapping mapping(app, platform, {{0}, {1, 2}});
+  Mapping mapping(make_instance(app, platform), {{0}, {1, 2}});
   const auto r = deterministic_throughput(mapping, ExecutionModel::kOverlap);
   EXPECT_NEAR(r.throughput, 1.25, 1e-6);
   // The fast row completes every 2 time units per firing... the slowest row

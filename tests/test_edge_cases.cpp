@@ -18,7 +18,7 @@ namespace {
 TEST(EdgeCases, OneStageOneProcessor) {
   Application app = Application::uniform(1, 4.0);
   Platform platform({2.0});
-  Mapping mapping(app, platform, {{0}});
+  Mapping mapping(make_instance(app, platform), {{0}});
   EXPECT_EQ(mapping.num_paths(), 1);
   for (const ExecutionModel model :
        {ExecutionModel::kOverlap, ExecutionModel::kStrict}) {
@@ -36,7 +36,7 @@ TEST(EdgeCases, OneStageReplicatedEverywhere) {
   // A single stage replicated on every processor: pure parallel farm.
   Application app = Application::uniform(1, 6.0);
   Platform platform({1.0, 2.0, 3.0});
-  Mapping mapping(app, platform, {{0, 1, 2}});
+  Mapping mapping(make_instance(app, platform), {{0, 1, 2}});
   // Completion rates add: 1/6 + 2/6 + 3/6 = 1.
   const auto det = deterministic_throughput(mapping, ExecutionModel::kOverlap);
   EXPECT_NEAR(det.throughput, 1.0, 1e-9);
@@ -51,7 +51,7 @@ TEST(EdgeCases, ZeroSizeFileMeansFreeCommunication) {
   // analysis and the column method both treat the communication as free.
   Application app({2.0, 3.0}, {0.0});
   Platform platform({1.0, 1.0});  // no links defined: legal for empty files
-  Mapping mapping(app, platform, {{0}, {1}});
+  Mapping mapping(make_instance(app, platform), {{0}, {1}});
   EXPECT_DOUBLE_EQ(mapping.comm_time(0, 1), 0.0);
   const auto det = deterministic_throughput(mapping, ExecutionModel::kOverlap);
   EXPECT_NEAR(det.throughput, 1.0 / 3.0, 1e-12);
@@ -66,12 +66,10 @@ TEST(EdgeCases, GeneralCtmcRejectsZeroDurations) {
   // reachability CTMC: the general method must refuse cleanly.
   Application app({2.0, 3.0}, {0.0});
   Platform platform({1.0, 1.0});
-  Mapping mapping(app, platform, {{0}, {1}});
-  ExponentialOptions options;
-  options.method = ExponentialMethod::kGeneralCtmc;
-  EXPECT_THROW(
-      exponential_throughput(mapping, ExecutionModel::kStrict, options),
-      InvalidArgument);
+  Mapping mapping(make_instance(app, platform), {{0}, {1}});
+  // Strict runs the general method.
+  EXPECT_THROW(exponential_throughput(mapping, ExecutionModel::kStrict),
+               InvalidArgument);
 }
 
 TEST(EdgeCases, ExtremeHeterogeneityStaysFinite) {
@@ -81,7 +79,7 @@ TEST(EdgeCases, ExtremeHeterogeneityStaysFinite) {
   Platform platform({1.0, 1e6, 1e-3});
   platform.set_bandwidth(0, 1, 1e3);
   platform.set_bandwidth(0, 2, 1e3);
-  Mapping mapping(app, platform, {{0}, {1, 2}});
+  Mapping mapping(make_instance(app, platform), {{0}, {1, 2}});
   const auto det = deterministic_throughput(mapping, ExecutionModel::kOverlap);
   const auto exp = exponential_throughput(mapping, ExecutionModel::kOverlap);
   EXPECT_TRUE(std::isfinite(det.throughput));
@@ -158,7 +156,7 @@ TEST(EdgeCases, SimulatorsHandleDegenerateShapes) {
   {
     Application app = Application::uniform(1, 2.0);
     Platform platform({1.0});
-    Mapping mapping(app, platform, {{0}});
+    Mapping mapping(make_instance(app, platform), {{0}});
     PipelineSimOptions options;
     options.data_sets = 10'000;
     const auto sim = simulate_pipeline(
@@ -169,7 +167,7 @@ TEST(EdgeCases, SimulatorsHandleDegenerateShapes) {
   {
     Application app = Application::uniform(1, 2.0);
     Platform platform({1.0, 1.0, 1.0});
-    Mapping mapping(app, platform, {{0, 1, 2}});
+    Mapping mapping(make_instance(app, platform), {{0, 1, 2}});
     const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kOverlap);
     TegSimOptions options;
     options.rounds = 5'000;

@@ -44,7 +44,6 @@ TEST(FuzzHarness, AllChecksPassWithHonestEvaluators) {
   for (std::uint64_t k = 0; k < 5; ++k) {
     const Scenario scenario = draw_scenario(options.corpus, k);
     const ScenarioVerdict verdict = check_scenario(scenario, options);
-    EXPECT_FALSE(verdict.diverged()) << scenario.label();
     for (std::size_t c = 0; c < kNumChecks; ++c) {
       EXPECT_NE(verdict.checks[c].status, CheckStatus::kFail)
           << scenario.label() << " " << to_string(static_cast<CheckId>(c))

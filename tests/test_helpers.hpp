@@ -22,7 +22,8 @@ inline Mapping chain_mapping(const std::vector<double>& comp_times,
     platform.set_bandwidth(i, i + 1, 1.0 / comm_times[i]);
   std::vector<std::vector<std::size_t>> teams(n);
   for (std::size_t i = 0; i < n; ++i) teams[i] = {i};
-  return Mapping(std::move(app), std::move(platform), std::move(teams));
+  return Mapping(make_instance(std::move(app), std::move(platform)),
+                 std::move(teams));
 }
 
 /// Two stages, u senders and v receivers, one shared communication time and
@@ -40,7 +41,8 @@ inline Mapping single_comm_mapping(std::size_t u, std::size_t v,
   std::vector<std::size_t> senders(u), receivers(v);
   for (std::size_t a = 0; a < u; ++a) senders[a] = a;
   for (std::size_t b = 0; b < v; ++b) receivers[b] = u + b;
-  return Mapping(std::move(app), std::move(platform), {senders, receivers});
+  return Mapping(make_instance(std::move(app), std::move(platform)),
+                 {senders, receivers});
 }
 
 /// Like single_comm_mapping but with one communication time per link,
@@ -57,7 +59,8 @@ inline Mapping single_comm_mapping_heterogeneous(
   std::vector<std::size_t> senders(u), receivers(v);
   for (std::size_t a = 0; a < u; ++a) senders[a] = a;
   for (std::size_t b = 0; b < v; ++b) receivers[b] = u + b;
-  return Mapping(std::move(app), std::move(platform), {senders, receivers});
+  return Mapping(make_instance(std::move(app), std::move(platform)),
+                 {senders, receivers});
 }
 
 /// Three stages replicated (r0, r1, r2) on consecutive processors with
@@ -73,7 +76,8 @@ inline Mapping replicated_chain_mapping(std::size_t r0, std::size_t r1,
   for (std::size_t i = 0; i < r0; ++i) t0[i] = i;
   for (std::size_t i = 0; i < r1; ++i) t1[i] = r0 + i;
   for (std::size_t i = 0; i < r2; ++i) t2[i] = r0 + r1 + i;
-  return Mapping(std::move(app), std::move(platform), {t0, t1, t2});
+  return Mapping(make_instance(std::move(app), std::move(platform)),
+                 {t0, t1, t2});
 }
 
 }  // namespace streamflow::testing

@@ -115,7 +115,7 @@ TEST(Heuristics, BeatsOrMatchesRandomMappings) {
     teams[1].assign(procs.begin() + static_cast<long>(cut1),
                     procs.begin() + static_cast<long>(cut2));
     teams[2].assign(procs.begin() + static_cast<long>(cut2), procs.end());
-    const Mapping candidate(app, platform, teams);
+    const Mapping candidate(make_instance(app, platform), teams);
     const double rho =
         exponential_throughput(candidate, ExecutionModel::kOverlap).throughput;
     EXPECT_LE(rho, result.throughput * (1.0 + 1e-9))

@@ -31,7 +31,7 @@ Mapping scaled_instance(const Mapping& base, double work_scale,
   std::vector<std::vector<std::size_t>> teams;
   for (std::size_t i = 0; i < base.num_stages(); ++i)
     teams.push_back(base.team(i));
-  return Mapping(Application(works, files), platform, teams);
+  return Mapping(make_instance(Application(works, files), platform), teams);
 }
 
 class ScalingTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -92,7 +92,7 @@ TEST(Invariants, ProcessorRelabelingDoesNotChangeThroughput) {
     for (std::size_t p : base.team(i)) team.push_back(m - 1 - p);
     teams.push_back(team);
   }
-  const Mapping relabeled(base.application(), platform, teams);
+  const Mapping relabeled(make_instance(base.application(), platform), teams);
   for (const ExecutionModel model :
        {ExecutionModel::kOverlap, ExecutionModel::kStrict}) {
     EXPECT_NEAR(deterministic_throughput(base, model).throughput,
@@ -133,7 +133,7 @@ TEST_P(MonotonicityTest, SlowingAnyResourceNeverHelps) {
     std::vector<std::vector<std::size_t>> teams;
     for (std::size_t i = 0; i < base.num_stages(); ++i)
       teams.push_back(base.team(i));
-    const Mapping slowed(base.application(), platform, teams);
+    const Mapping slowed(make_instance(base.application(), platform), teams);
     EXPECT_LE(
         deterministic_throughput(slowed, ExecutionModel::kOverlap).throughput,
         det_base * (1.0 + 1e-9))

@@ -8,8 +8,9 @@
 // ban, header-only rules, the annotated mutex wrapper itself, the text
 // reader and the test-side number references) are pinned
 // here too, so a refactor of the engine cannot silently widen or narrow a
-// rule. The cross-file unused-api rule replays a planted mini-tree
-// (tests/fixtures/lint/unused_api/) instead of a single file.
+// rule. The cross-file rules replay planted mini-trees instead of single
+// files: tests/fixtures/lint/unused_api/ and unused_members/ for unused-api,
+// unset_option/ for unset-option.
 #include "lint_rules.hpp"
 
 #include <gtest/gtest.h>
@@ -52,24 +53,53 @@ Fired fire_fixture(const std::string& policy_path, const std::string& name) {
   return fire(policy_path, read_fixture(name));
 }
 
-/// The planted mini-tree of the cross-file unused-api rule, under
-/// tests/fixtures/lint/unused_api/, with paths relative to its root.
-std::vector<SourceFile> unused_api_tree() {
+/// A planted mini-tree under tests/fixtures/lint/<root>/, with paths
+/// relative to its root; the header comes first.
+std::vector<SourceFile> mini_tree(const std::string& root,
+                                  const std::vector<std::string>& paths) {
   std::vector<SourceFile> files;
-  for (const char* path : {"src/widget/widget.hpp", "src/widget/widget.cpp",
-                           "tools/driver.cpp", "tests/widget_test.cpp"})
-    files.push_back({path, read_fixture(std::string("unused_api/") + path)});
+  for (const std::string& path : paths)
+    files.push_back({path, read_fixture(root + "/" + path)});
   return files;
 }
 
-/// lint_unused_api over `files`, reduced to (path:name-line) strings.
-std::vector<std::string> fire_unused_api(const std::vector<SourceFile>& files) {
+std::vector<SourceFile> unused_api_tree() {
+  return mini_tree("unused_api",
+                   {"src/widget/widget.hpp", "src/widget/widget.cpp",
+                    "tools/driver.cpp", "tests/widget_test.cpp"});
+}
+
+std::vector<SourceFile> unused_members_tree() {
+  return mini_tree("unused_members",
+                   {"src/gadget/gadget.hpp", "src/gadget/gadget.cpp",
+                    "tools/driver.cpp", "tests/gadget_test.cpp"});
+}
+
+std::vector<SourceFile> unset_option_tree() {
+  return mini_tree("unset_option", {"src/knobs/knobs.hpp", "tools/driver.cpp",
+                                    "tests/knobs_test.cpp"});
+}
+
+/// A cross-file rule over `files`, reduced to (path:line) strings.
+using TreeRule = std::vector<Violation> (*)(const std::vector<SourceFile>&);
+
+std::vector<std::string> fire_tree(TreeRule lint, const std::string& rule,
+                                   const std::vector<SourceFile>& files) {
   std::vector<std::string> fired;
-  for (const Violation& v : lint_unused_api(files)) {
-    EXPECT_EQ(v.rule, "unused-api");
+  for (const Violation& v : lint(files)) {
+    EXPECT_EQ(v.rule, rule);
     fired.push_back(v.path + ":" + std::to_string(v.line));
   }
   return fired;
+}
+
+std::vector<std::string> fire_unused_api(const std::vector<SourceFile>& files) {
+  return fire_tree(lint_unused_api, "unused-api", files);
+}
+
+std::vector<std::string> fire_unset_option(
+    const std::vector<SourceFile>& files) {
+  return fire_tree(lint_unset_option, "unset-option", files);
 }
 
 TEST(Lint, WallClockFiresAndAllowSuppresses) {
@@ -205,9 +235,10 @@ TEST(Lint, UnusedApiSuppressionNamesTheRule) {
   EXPECT_EQ(fire_unused_api(files), expected);
 }
 
-TEST(Lint, UnusedApiSeesOnlyNamespaceScopeFunctions) {
-  // Every shape of declaration a src/ header holds; only the functions
-  // declared at namespace scope are checked, each at its name's line.
+TEST(Lint, UnusedApiSeesFunctionsAndPublicMembers) {
+  // Every shape of declaration a src/ header holds; the functions declared
+  // at namespace scope and the public members are checked, each at its
+  // name's line.
   const std::string header =
       "#pragma once\n"                                         // 1
       "#define SF_MACRO(x) macro_target(x)\n"                  // 2
@@ -220,18 +251,68 @@ TEST(Lint, UnusedApiSeesOnlyNamespaceScopeFunctions) {
       "class Widget {\n"                                       // 9
       " public:\n"                                             // 10
       "  int member(int x) const;\n"                           // 11
-      "};\n"                                                   // 12
-      "bool operator==(const Widget& a, const Widget& b);\n"   // 13
-      "[[nodiscard]] inline int with_body(int x) {\n"          // 14
-      "  return x > 0 ? x : -x;\n"                             // 15
-      "}\n"                                                    // 16
-      "namespace inner {\n"                                    // 17
-      "double nested(double x);\n"                             // 18
-      "}  // namespace inner\n"                                // 19
-      "}  // namespace streamflow\n";                          // 20
+      " private:\n"                                            // 12
+      "  int hidden(int x) const;\n"                           // 13
+      "};\n"                                                   // 14
+      "bool operator==(const Widget& a, const Widget& b);\n"   // 15
+      "[[nodiscard]] inline int with_body(int x) {\n"          // 16
+      "  return x > 0 ? x : -x;\n"                             // 17
+      "}\n"                                                    // 18
+      "namespace inner {\n"                                    // 19
+      "double nested(double x);\n"                             // 20
+      "}  // namespace inner\n"                                // 21
+      "}  // namespace streamflow\n";                          // 22
   const std::vector<std::string> expected = {
-      "src/a.hpp:5", "src/a.hpp:7", "src/a.hpp:14", "src/a.hpp:18"};
+      "src/a.hpp:5", "src/a.hpp:7", "src/a.hpp:11", "src/a.hpp:16",
+      "src/a.hpp:20"};
   EXPECT_EQ(fire_unused_api({{"src/a.hpp", header}}), expected);
+}
+
+TEST(Lint, UnusedApiKeysMembersOnTheirArgumentCount) {
+  // A constructor, a member and an overload of another arity have no
+  // shipped use; so has a wrapper named only inside its own body. The used
+  // constructors (`T v(…)`, make_unique<T>(…)), the one-argument resize,
+  // the defaulted form of scaled, the pointer to pointed, the destructor
+  // and the private members stay quiet.
+  const std::vector<std::string> expected = {
+      "src/gadget/gadget.hpp:11", "src/gadget/gadget.hpp:16",
+      "src/gadget/gadget.hpp:18", "src/gadget/gadget.hpp:21"};
+  EXPECT_EQ(fire_unused_api(unused_members_tree()), expected);
+}
+
+TEST(Lint, UnusedApiCountsAShippedCallOfTheRightArity) {
+  std::vector<SourceFile> files = unused_members_tree();
+  files.push_back({"examples/caller.cpp",
+                   "int f() {\n"
+                   "  gadget::Gadget g(1, 2,\n"
+                   "                  3);\n"
+                   "  return g.unused_member() + g.resize(1, 2);\n"
+                   "}\n"});
+  const std::vector<std::string> expected = {"src/gadget/gadget.hpp:21"};
+  EXPECT_EQ(fire_unused_api(files), expected);
+}
+
+TEST(Lint, UnsetOptionFiresOnAFieldNoShippedCallerAssigns) {
+  // Assignments, a member chain, a designated initializer and a pointer to
+  // member set fields; a comparison and a test-only assignment do not.
+  // Static members, member functions and non-*Options structs are not
+  // checked.
+  const std::vector<std::string> expected = {"src/knobs/knobs.hpp:16",
+                                             "src/knobs/knobs.hpp:20"};
+  EXPECT_EQ(fire_unset_option(unset_option_tree()), expected);
+  EXPECT_TRUE(fire_unused_api(unset_option_tree()).empty());
+}
+
+TEST(Lint, UnsetOptionSuppressionNamesTheRule) {
+  std::vector<SourceFile> files = unset_option_tree();
+  std::string& header = files[0].content;
+  const std::size_t at = header.find("lint:allow(unset-option)");
+  ASSERT_NE(at, std::string::npos);
+  header.replace(at, 24, "lint:allow(unused-api)");
+  const std::vector<std::string> expected = {"src/knobs/knobs.hpp:16",
+                                             "src/knobs/knobs.hpp:18",
+                                             "src/knobs/knobs.hpp:20"};
+  EXPECT_EQ(fire_unset_option(files), expected);
 }
 
 TEST(Lint, TokensInCommentsAndStringsNeverFire) {
@@ -248,7 +329,7 @@ TEST(Lint, RulesTableIsCompleteAndQueriable) {
       "wall-clock",        "ambient-entropy",        "float-type",
       "unordered-iter",    "header-pragma-once",     "using-namespace-header",
       "raw-mutex",         "number-parse",           "unused-api",
-      "allow-syntax",
+      "unset-option",      "allow-syntax",
   };
   std::set<std::string> listed;
   for (const RuleInfo& rule : rules()) {
@@ -280,6 +361,8 @@ TEST(Lint, EveryAdvertisedRuleFiresOnSomeFixture) {
     for (const auto& [rule, line] : fire_fixture(policy_path, fixture))
       fired.insert(rule);
   for (const Violation& v : lint_unused_api(unused_api_tree()))
+    fired.insert(v.rule);
+  for (const Violation& v : lint_unset_option(unset_option_tree()))
     fired.insert(v.rule);
   std::set<std::string> advertised;
   for (const RuleInfo& rule : rules()) advertised.insert(rule.id);

@@ -183,7 +183,8 @@ Mapping heterogeneous_chain(const std::vector<std::size_t>& team_sizes,
   for (std::size_t i = 0; i < team_sizes.size(); ++i) {
     for (std::size_t r = 0; r < team_sizes[i]; ++r) teams[i].push_back(next++);
   }
-  return Mapping(Application::uniform(team_sizes.size()), std::move(platform),
+  return Mapping(make_instance(Application::uniform(team_sizes.size()),
+                               std::move(platform)),
                  std::move(teams));
 }
 
@@ -545,8 +546,9 @@ TEST(GeneralMethod, FrequenciesAreRowUniform) {
   const Mapping mapping = testing::single_comm_mapping(2, 3, 1.0, 0.5);
   const auto patterns = comm_patterns(mapping, 0);
   const TimedEventGraph teg = build_pattern_teg(patterns[0]);
-  const auto freq =
-      stationary_frequencies(teg, rates_from_durations(teg));
+  const std::vector<double> rates = rates_from_durations(teg);
+  const auto freq = stationary_frequencies(
+      teg, explore_markings(teg, rates, ReachabilityOptions{}), rates);
   for (double f : freq) EXPECT_NEAR(f, freq[0], 1e-9);
 }
 

@@ -31,13 +31,12 @@ TEST(Application, Accessors) {
 TEST(Platform, FullyConnectedAndStar) {
   Platform full = Platform::fully_connected({1.0, 2.0, 3.0}, 10.0);
   EXPECT_DOUBLE_EQ(full.bandwidth(0, 2), 10.0);
-  EXPECT_TRUE(full.homogeneous_network());
+  EXPECT_DOUBLE_EQ(full.bandwidth(1, 2), 10.0);
 
   Platform star = Platform::star({1.0, 1.0, 1.0}, {10.0, 4.0, 6.0});
   EXPECT_DOUBLE_EQ(star.bandwidth(0, 1), 4.0);
   EXPECT_DOUBLE_EQ(star.bandwidth(0, 2), 6.0);
   EXPECT_DOUBLE_EQ(star.bandwidth(1, 2), 4.0);
-  EXPECT_FALSE(star.homogeneous_network());
 }
 
 TEST(Platform, Validation) {
@@ -52,32 +51,36 @@ TEST(Platform, Validation) {
 TEST(Mapping, RejectsProcessorOnTwoStages) {
   Application app = Application::uniform(2);
   Platform platform = Platform::fully_connected({1.0, 1.0}, 1.0);
-  EXPECT_THROW(Mapping(app, platform, {{0}, {0}}), InvalidArgument);
+  EXPECT_THROW(Mapping(make_instance(app, platform),
+                       {{0}, {0}}), InvalidArgument);
 }
 
 TEST(Mapping, RejectsEmptyTeamAndBadIndices) {
   Application app = Application::uniform(2);
   Platform platform = Platform::fully_connected({1.0, 1.0}, 1.0);
-  EXPECT_THROW(Mapping(app, platform, {{0}, {}}), InvalidArgument);
-  EXPECT_THROW(Mapping(app, platform, {{0}, {7}}), InvalidArgument);
-  EXPECT_THROW(Mapping(app, platform, {{0}}), InvalidArgument);
+  EXPECT_THROW(Mapping(make_instance(app, platform),
+                       {{0}, {}}), InvalidArgument);
+  EXPECT_THROW(Mapping(make_instance(app, platform),
+                       {{0}, {7}}), InvalidArgument);
+  EXPECT_THROW(Mapping(make_instance(app, platform), {{0}}), InvalidArgument);
 }
 
 TEST(Mapping, RequiresBandwidthOnUsedLinks) {
   Application app = Application::uniform(2);
   Platform platform({1.0, 1.0});  // no links set
-  EXPECT_THROW(Mapping(app, platform, {{0}, {1}}), InvalidArgument);
+  EXPECT_THROW(Mapping(make_instance(app, platform),
+                       {{0}, {1}}), InvalidArgument);
   // A zero-size file needs no link.
   Application zero_file({1.0, 1.0}, {0.0});
-  EXPECT_NO_THROW(Mapping(zero_file, platform, {{0}, {1}}));
+  EXPECT_NO_THROW(Mapping(make_instance(zero_file, platform), {{0}, {1}}));
 }
 
-TEST(Mapping, StageOfAndTeamIndex) {
+TEST(Mapping, StageOfAndTeams) {
   Mapping mapping = testing::replicated_chain_mapping(2, 3, 1);
   EXPECT_EQ(mapping.stage_of(0), 0u);
   EXPECT_EQ(mapping.stage_of(2), 1u);
   EXPECT_EQ(mapping.stage_of(5), 2u);
-  EXPECT_EQ(mapping.team_index_of(3), 1u);
+  EXPECT_EQ(mapping.team(1)[1], 3u);
   EXPECT_EQ(mapping.replication(1), 3u);
 }
 
@@ -102,7 +105,7 @@ TEST_P(PathCountTest, MatchesLcm) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t k = 0; k < c.replications[i]; ++k)
       teams[i].push_back(next++);
-  Mapping mapping(app, platform, teams);
+  Mapping mapping(make_instance(app, platform), teams);
   EXPECT_EQ(mapping.num_paths(), c.expected_paths);
 
   // Every path follows the round-robin rule.
@@ -155,8 +158,8 @@ TEST(Mapping, SharesInstanceAcrossConstructionPaths) {
 
   // The compatibility constructor wraps its arguments into a fresh
   // instance of its own.
-  const Mapping legacy(Application::uniform(2),
-                       Platform::fully_connected({1.0, 1.0}, 1.0),
+  const Mapping legacy(make_instance(Application::uniform(2),
+                       Platform::fully_connected({1.0, 1.0}, 1.0)),
                        {{0}, {1}});
   EXPECT_NE(legacy.instance().get(), instance.get());
   EXPECT_EQ(legacy.instance().use_count(), 1);
@@ -222,7 +225,7 @@ TEST(Mapping, CycleTimeWithReplication) {
   Platform platform({1.0, 1.0, 0.5});  // P2 is half speed
   platform.set_bandwidth(0, 1, 0.5);   // comm time 2
   platform.set_bandwidth(0, 2, 0.25);  // comm time 4
-  Mapping mapping(app, platform, {{0}, {1, 2}});
+  Mapping mapping(make_instance(app, platform), {{0}, {1, 2}});
 
   // Per-processor busy time per global data set: c_p / R.
   EXPECT_DOUBLE_EQ(mapping.cycle_time(1).compute, 0.5);
@@ -244,14 +247,14 @@ TEST(StochasticTiming, BuildersCoverUsedResourcesOnly) {
 
   const StochasticTiming exp = StochasticTiming::exponential(mapping);
   EXPECT_DOUBLE_EQ(exp.comp(1)->mean(), mapping.comp_time(1));
-  EXPECT_TRUE(exp.all_exponential());
+  EXPECT_DOUBLE_EQ(exp.comp(1)->variance(),
+                   mapping.comp_time(1) * mapping.comp_time(1));
   EXPECT_TRUE(exp.all_nbue());
 
   const StochasticTiming heavy =
       StochasticTiming::scaled(mapping, *make_gamma(0.5, 1.0));
   EXPECT_DOUBLE_EQ(heavy.comp(1)->mean(), mapping.comp_time(1));
   EXPECT_FALSE(heavy.all_nbue());
-  EXPECT_FALSE(heavy.all_exponential());
 }
 
 TEST(StochasticTiming, OverridesApply) {

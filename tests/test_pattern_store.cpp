@@ -75,7 +75,8 @@ Mapping heterogeneous_mapping() {
       bandwidth += 0.1;
     }
   }
-  return Mapping(application, platform, {{0}, {1, 2}, {3, 4, 5}, {6}});
+  return Mapping(make_instance(application, platform),
+                 {{0}, {1, 2}, {3, 4, 5}, {6}});
 }
 
 std::string fixture_path(const std::string& name) {

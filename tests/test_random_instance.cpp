@@ -43,25 +43,6 @@ TEST(RandomInstance, RespectsShapeAndRanges) {
   }
 }
 
-TEST(RandomInstance, HomogeneousOptionMakesColumnsUniform) {
-  RandomInstanceOptions options;
-  options.num_stages = 3;
-  options.num_processors = 9;
-  options.homogeneous_network = true;
-  Prng prng(11);
-  const Mapping mapping = random_instance(options, prng);
-  for (std::size_t i = 0; i + 1 < 3; ++i) {
-    double seen = -1.0;
-    for (std::size_t p : mapping.team(i)) {
-      for (std::size_t q : mapping.team(i + 1)) {
-        const double t = mapping.comm_time(p, q);
-        if (seen < 0.0) seen = t;
-        EXPECT_NEAR(t, seen, 1e-12);
-      }
-    }
-  }
-}
-
 TEST(RandomInstance, DeterministicGivenSeed) {
   RandomInstanceOptions options;
   options.num_stages = 4;

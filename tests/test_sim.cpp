@@ -91,19 +91,19 @@ TEST(PipelineSim, StrictNeverFasterThanOverlap) {
   }
 }
 
-TEST(PipelineSim, BandwidthEfficiencyScalesCommBoundThroughput) {
-  // A communication-bound chain: halving the effective bandwidth halves the
+TEST(PipelineSim, CommBoundThroughputScalesWithCommTime) {
+  // A communication-bound chain: doubling the communication time halves the
   // throughput.
-  const Mapping mapping = testing::chain_mapping({0.01, 0.01}, {1.0});
-  const StochasticTiming det = StochasticTiming::deterministic(mapping);
-  PipelineSimOptions fast;
-  fast.data_sets = 5'000;
-  const auto full = simulate_pipeline(mapping, ExecutionModel::kOverlap, det,
-                                      fast);
-  PipelineSimOptions slow = fast;
-  slow.bandwidth_efficiency = 0.5;
-  const auto half = simulate_pipeline(mapping, ExecutionModel::kOverlap, det,
-                                      slow);
+  const Mapping fast = testing::chain_mapping({0.01, 0.01}, {1.0});
+  const Mapping slow = testing::chain_mapping({0.01, 0.01}, {2.0});
+  PipelineSimOptions options;
+  options.data_sets = 5'000;
+  const auto full =
+      simulate_pipeline(fast, ExecutionModel::kOverlap,
+                        StochasticTiming::deterministic(fast), options);
+  const auto half =
+      simulate_pipeline(slow, ExecutionModel::kOverlap,
+                        StochasticTiming::deterministic(slow), options);
   EXPECT_NEAR(half.throughput / full.throughput, 0.5, 0.01);
 }
 
@@ -197,11 +197,6 @@ TEST(PipelineSim, OptionValidation) {
       InvalidArgument);
   bad = {};
   bad.warmup_fraction = 1.0;
-  EXPECT_THROW(
-      simulate_pipeline(mapping, ExecutionModel::kOverlap, det, bad),
-      InvalidArgument);
-  bad = {};
-  bad.bandwidth_efficiency = 0.0;
   EXPECT_THROW(
       simulate_pipeline(mapping, ExecutionModel::kOverlap, det, bad),
       InvalidArgument);

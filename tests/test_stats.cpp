@@ -20,33 +20,6 @@ TEST(RunningStats, MatchesHandComputation) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  RunningStats all, a, b;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i * 0.7) * 3.0 + i * 0.01;
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  RunningStats b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(RunningStats, StudentTQuantiles) {
   // Spot-check the 97.5% table against published values and the cutoff
   // behavior: exact through df = 30, normal approximation beyond.
@@ -94,7 +67,6 @@ TEST(Table, AlignsAndRendersCsv) {
   Table t({"name", "value"});
   t.add_row({std::string("alpha"), 1.5});
   t.add_row({std::string("b"), std::int64_t{42}});
-  EXPECT_EQ(t.row_count(), 2u);
   std::ostringstream text;
   t.print(text, "demo");
   EXPECT_NE(text.str().find("== demo =="), std::string::npos);

@@ -105,7 +105,7 @@ TEST(Builder, SelfLoopWhenProcessorOwnsOneRow) {
   // one row, so its serialization chain degenerates to a marked self-loop.
   Application app = Application::uniform(2);
   Platform platform = Platform::fully_connected({1, 1, 1, 1}, 1.0);
-  Mapping mapping(app, platform, {{0}, {1, 2, 3}});
+  Mapping mapping(make_instance(app, platform), {{0}, {1, 2, 3}});
   const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kOverlap);
   int self_loops_with_token = 0;
   for (const Place& p : g.places()) {

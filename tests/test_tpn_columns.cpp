@@ -20,10 +20,10 @@ TEST(CommPatterns, StructureOfCoprimeColumn) {
   EXPECT_EQ(p.copies, 1);
   EXPECT_EQ(p.size(), 6u);
   EXPECT_TRUE(p.homogeneous());
-  // CRT bijection: every (sender, receiver) pair appears exactly once.
+  // CRT bijection: transition t carries senders[t % u] -> receivers[t % v],
+  // and every (sender, receiver) pair appears exactly once.
   std::set<std::pair<std::size_t, std::size_t>> pairs;
-  for (std::size_t t = 0; t < p.size(); ++t)
-    pairs.insert({p.sender_of(t), p.receiver_of(t)});
+  for (std::size_t t = 0; t < p.size(); ++t) pairs.insert({t % p.u, t % p.v});
   EXPECT_EQ(pairs.size(), 6u);
 }
 
@@ -33,7 +33,7 @@ TEST(CommPatterns, SplitsIntoGcdComponents) {
   Platform platform =
       Platform::fully_connected(std::vector<double>(10, 1.0), 1.0);
   std::vector<std::size_t> senders{0, 1, 2, 3}, receivers{4, 5, 6, 7, 8, 9};
-  Mapping mapping(app, platform, {senders, receivers});
+  Mapping mapping(make_instance(app, platform), {senders, receivers});
   EXPECT_EQ(mapping.num_paths(), 12);
 
   const auto patterns = comm_patterns(mapping, 0);
@@ -62,7 +62,7 @@ TEST(CommPatterns, ExampleCSecondCommunication) {
     const std::size_t count = std::vector<std::size_t>{5, 21, 27, 11}[i];
     for (std::size_t k = 0; k < count; ++k) teams[i].push_back(next++);
   }
-  Mapping mapping(app, platform, teams);
+  Mapping mapping(make_instance(app, platform), teams);
   EXPECT_EQ(mapping.num_paths(), 10395);
 
   const auto patterns = comm_patterns(mapping, 1);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification, run locally or by CI: configure, build, and test the
-# whole tree in both Debug and Release.
+# whole tree in both Debug and Release. Both build with -Werror: the tree is
+# warning-free under GCC, and a new warning fails here.
 #
 #   tools/ci.sh            # both configurations
 #   tools/ci.sh Release    # one configuration
@@ -18,7 +19,8 @@ jobs=$(nproc 2>/dev/null || echo 2)
 for config in "${configs[@]}"; do
   build_dir="build-$(echo "${config}" | tr '[:upper:]' '[:lower:]')"
   echo "==> ${config}: configure"
-  cmake -B "${build_dir}" -S . -DCMAKE_BUILD_TYPE="${config}"
+  cmake -B "${build_dir}" -S . -DCMAKE_BUILD_TYPE="${config}" \
+      -DCMAKE_CXX_FLAGS=-Werror
   echo "==> ${config}: build"
   cmake --build "${build_dir}" -j "${jobs}"
   echo "==> ${config}: test"

@@ -386,7 +386,7 @@ if(DEFINED LINT)
   run_lint(0 lint_rules_out --list-rules)
   foreach(rule wall-clock ambient-entropy float-type unordered-iter
           header-pragma-once using-namespace-header raw-mutex number-parse
-          unused-api allow-syntax)
+          unused-api unset-option allow-syntax)
     if(NOT lint_rules_out MATCHES "${rule}")
       message(FATAL_ERROR "--list-rules is missing rule '${rule}':\n${lint_rules_out}")
     endif()
@@ -402,6 +402,20 @@ if(DEFINED LINT)
      NOT lint_tree_out MATCHES "src/widget/widget.hpp:10: unused-api: 'unused_function'")
     message(FATAL_ERROR "streamflow_lint --root on the unused-api mini-tree "
                         "did not flag exactly unused_function:\n${lint_tree_out}")
+  endif()
+
+  # The same scan checks members and option fields: on the unset-option
+  # mini-tree it must flag exactly the two fields no shipped caller sets.
+  run_lint(1 lint_options_out --root "${FIXTURE_DIR}/lint/unset_option")
+  string(REGEX MATCHALL ": unset-option: " lint_option_hits
+         "${lint_options_out}")
+  list(LENGTH lint_option_hits lint_option_hit_count)
+  if(NOT lint_option_hit_count EQUAL 2 OR
+     NOT lint_options_out MATCHES
+         "src/knobs/knobs.hpp:16: unset-option: 'KnobOptions::unset_field'")
+    message(FATAL_ERROR "streamflow_lint --root on the unset-option mini-tree "
+                        "did not flag exactly the two unset fields:\n"
+                        "${lint_options_out}")
   endif()
 
   # Unknown flags must exit 2 and name the offender on stderr.

@@ -21,8 +21,9 @@
 // view of each line, so the pattern literals below never match their own
 // source text when the lint scans this file.
 //
-// One rule is cross-file: `unused-api` (lint_unused_api) needs the whole
-// tree, so it runs in tree mode only, over the files the caller hands it.
+// Two rules are cross-file: `unused-api` (lint_unused_api) and
+// `unset-option` (lint_unset_option) need the whole tree, so they run in
+// tree mode only, over the files the caller hands them.
 #pragma once
 
 #include <algorithm>
@@ -75,9 +76,17 @@ inline const std::vector<RuleInfo>& rules() {
        "C-library or string-stream number parsing outside it (tests/ and "
        "bench/ keep the references)"},
       {"unused-api",
-       "every namespace-scope function declared in a src/ header is named "
-       "in src/, tools/, bench/, bench_e2e/ or examples/ outside its own "
-       "declaration and definition (test-only references live in tests/)"},
+       "every namespace-scope function, public member function and "
+       "constructor declared in a src/ header is used in src/, tools/, "
+       "bench/, bench_e2e/ or examples/ outside its own declarations and "
+       "body, keyed on (name, argument count) (test-only references live in "
+       "tests/). Blind spots: overloads of one arity are one entry, and a "
+       "member whose name another entity uses counts as used"},
+      {"unset-option",
+       "every non-static data member of a *Options struct in a src/ header "
+       "is assigned (.f =, ->f =, &T::f) in src/, tools/, bench/, "
+       "bench_e2e/ or examples/: a field no shipped caller sets is a "
+       "constant. Blind spot: fields are matched by name alone"},
       {"allow-syntax",
        "lint:allow comments must name a known rule and carry ': <reason>'"},
   };
@@ -436,7 +445,7 @@ inline std::vector<Violation> lint_content(const std::string& path,
   return out;
 }
 
-// --- unused-api: the one cross-file rule --------------------------------
+// --- the cross-file rules: unused-api and unset-option -------------------
 
 namespace detail {
 
@@ -448,37 +457,147 @@ inline bool is_word_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-/// Calls `visit(word)` for every identifier of a code line; number
+/// The end of the identifier starting at text[i].
+inline std::size_t word_end(const std::string& text, std::size_t i) {
+  while (i < text.size() && is_word_char(text[i])) ++i;
+  return i;
+}
+
+/// Calls `visit(word, offset)` for every identifier of `text`; number
 /// literals (0x1Fu, 1e9, 2.5) are skipped whole.
 template <typename Visit>
-void for_each_word(const std::string& line, Visit&& visit) {
-  for (std::size_t i = 0; i < line.size();) {
-    if (is_word_start(line[i])) {
-      std::size_t end = i;
-      while (end < line.size() && is_word_char(line[end])) ++end;
-      visit(line.substr(i, end - i));
+void for_each_word(const std::string& text, Visit&& visit) {
+  for (std::size_t i = 0; i < text.size();) {
+    if (is_word_start(text[i])) {
+      const std::size_t end = word_end(text, i);
+      visit(text.substr(i, end - i), i);
       i = end;
-    } else if (std::isdigit(static_cast<unsigned char>(line[i])) != 0) {
-      while (i < line.size() && (is_word_char(line[i]) || line[i] == '.')) ++i;
+    } else if (std::isdigit(static_cast<unsigned char>(text[i])) != 0) {
+      while (i < text.size() && (is_word_char(text[i]) || text[i] == '.')) ++i;
     } else {
       ++i;
     }
   }
 }
 
-/// A function named by a namespace-scope statement, with its 1-based line.
-struct FunctionName {
-  std::string name;
-  std::size_t line = 0;
+inline std::size_t skip_space(const std::string& text, std::size_t i) {
+  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])))
+    ++i;
+  return i;
+}
+
+/// `i` moved back over the whitespace that ends right before it.
+inline std::size_t skip_space_back(const std::string& text, std::size_t i) {
+  while (i > 0 && std::isspace(static_cast<unsigned char>(text[i - 1])))
+    --i;
+  return i;
+}
+
+/// The start of the identifier that ends right before `end` (`end` itself
+/// when none does).
+inline std::size_t word_begin(const std::string& text, std::size_t end) {
+  while (end > 0 && is_word_char(text[end - 1])) --end;
+  return end;
+}
+
+/// The top-level items of the bracketed list opening at text[open] ('(' or
+/// '{'): split at commas outside nested brackets and template arguments (a
+/// '<' directly after a word opens one, a '>' not after '-' closes it).
+/// `body` marks a brace block holding a top-level ';' (a function or class
+/// body, not an initializer list).
+struct BracketList {
+  std::vector<std::string> items;
+  std::vector<bool> defaulted;  ///< the item holds a top-level '='
+  std::size_t close = std::string::npos;
+  bool body = false;
 };
 
-/// The function a namespace-scope statement declares or defines, if any:
-/// the last identifier outside template arguments before the first
-/// top-level '(' that is not an attribute or a macro (an ALL_CAPS word).
-/// A top-level '=' first makes the statement a variable; class, enum,
-/// using, operator and friend statements name no function.
-inline std::optional<FunctionName> declared_function(
-    const std::string& text, const std::vector<std::size_t>& lines) {
+inline BracketList split_bracket_list(const std::string& text,
+                                      std::size_t open) {
+  constexpr std::size_t npos = std::string::npos;
+  BracketList list;
+  std::vector<int> angles{0};  // open template arguments per bracket level
+  std::string item;
+  bool defaulted = false;
+  for (std::size_t i = open + 1; i < text.size(); ++i) {
+    const char c = text[i];
+    const char prev = text[i - 1];
+    const bool top = angles.size() == 1 && angles.back() == 0;
+    if (c == '(' || c == '[' || c == '{') {
+      angles.push_back(0);
+    } else if (c == ')' || c == ']' || c == '}') {
+      angles.pop_back();
+      if (angles.empty()) {
+        list.close = i;
+        break;
+      }
+    } else if (c == '<' && is_word_char(prev)) {
+      ++angles.back();
+    } else if (c == '>' && angles.back() > 0 && prev != '-') {
+      --angles.back();
+    } else if (top && c == ';') {
+      list.body = true;
+    } else if (top && c == '=' && std::string("=!<>").find(prev) == npos &&
+               (i + 1 == text.size() || text[i + 1] != '=')) {
+      defaulted = true;
+    } else if (top && c == ',') {
+      list.items.push_back(std::move(item));
+      list.defaulted.push_back(defaulted);
+      item.clear();
+      defaulted = false;
+      continue;
+    }
+    item.push_back(c);
+  }
+  if (!list.items.empty() ||
+      item.find_first_not_of(" \t\n") != std::string::npos) {
+    list.items.push_back(std::move(item));
+    list.defaulted.push_back(defaulted);
+  }
+  return list;
+}
+
+/// A function declared or defined at namespace or class scope.
+struct Declaration {
+  std::string name;
+  std::string owner;        ///< enclosing class; empty at namespace scope
+  std::size_t offset = 0;   ///< of the name, in the file's joined code
+  std::size_t min_args = 0;
+  std::size_t max_args = 0;
+  bool checked = true;       ///< part of the API the rule holds to callers
+};
+
+/// A data member of a class, with the offset of its name.
+struct Field {
+  std::string owner;
+  std::string name;
+  std::size_t offset = 0;
+};
+
+/// The text between a function definition's braces, for the one name
+/// whose uses inside it do not count (a forwarding wrapper or a recursion
+/// does not call itself into use).
+struct Body {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::string name;
+};
+
+struct FileScan {
+  std::vector<Declaration> functions;
+  std::vector<Field> fields;
+  std::vector<Body> bodies;  ///< in offset order
+};
+
+/// The function a namespace- or class-scope statement declares or defines,
+/// if any: the last identifier outside template arguments before the first
+/// top-level '(' that is not an attribute or a macro (an ALL_CAPS word),
+/// with the argument counts its parameter list accepts. A top-level '='
+/// first makes the statement a variable; class, enum, using, operator and
+/// friend statements name no function. Deleted functions come back
+/// unchecked.
+inline std::optional<Declaration> declared_function(
+    const std::string& text, const std::vector<std::size_t>& offsets) {
   static const std::set<std::string> kNotAFunction = {
       "class",  "struct",   "union",         "enum",   "using",
       "typedef", "operator", "static_assert", "friend", "namespace",
@@ -494,17 +613,16 @@ inline std::optional<FunctionName> declared_function(
   };
   int angle = 0;
   std::string last;
-  std::size_t last_line = 0;
+  std::size_t last_at = 0;
   for (std::size_t i = 0; i < text.size(); ++i) {
     const char c = text[i];
     if (is_word_start(c)) {
-      std::size_t end = i;
-      while (end < text.size() && is_word_char(text[end])) ++end;
+      const std::size_t end = word_end(text, i);
       std::string word = text.substr(i, end - i);
       if (kNotAFunction.count(word) != 0) return std::nullopt;
       if (angle == 0) {
         last = std::move(word);
-        last_line = lines[i];
+        last_at = i;
       }
       i = end - 1;
     } else if (c == '<') {
@@ -514,8 +632,23 @@ inline std::optional<FunctionName> declared_function(
     } else if (c == '=' && angle == 0) {
       return std::nullopt;
     } else if (c == '(' && angle == 0) {
-      if (!last.empty() && !is_specifier(last))
-        return FunctionName{last, last_line};
+      if (!last.empty() && !is_specifier(last)) {
+        Declaration declaration;
+        declaration.name = last;
+        declaration.offset = offsets[last_at];
+        const BracketList params = split_bracket_list(text, i);
+        declaration.max_args = params.items.size();
+        declaration.min_args = params.items.size();
+        for (const bool defaulted : params.defaulted)
+          if (defaulted) --declaration.min_args;
+        if (params.close != std::string::npos) {
+          for_each_word(text.substr(params.close + 1),
+                        [&](const std::string& w, std::size_t) {
+                          if (w == "delete") declaration.checked = false;
+                        });
+        }
+        return declaration;
+      }
       // An attribute or macro argument list: skip it whole.
       for (int depth = 0; i < text.size(); ++i) {
         if (text[i] == '(') ++depth;
@@ -527,36 +660,134 @@ inline std::optional<FunctionName> declared_function(
   return std::nullopt;
 }
 
-/// Every function declared or defined at namespace scope in a file, from
-/// its stripped code lines: statements are split at ';', '{' and '}'
-/// outside parentheses, namespace bodies are descended into, and every
-/// other brace (class, enum, function body, initializer) is skipped whole.
-/// Preprocessor lines are ignored.
-inline std::vector<FunctionName> namespace_scope_functions(
-    const std::vector<std::string>& code) {
-  std::vector<FunctionName> found;
-  std::vector<bool> scopes;  // per open brace: does it open a namespace?
-  std::size_t nested = 0;    // open braces that are not namespace bodies
+/// The data member a class-scope statement declares, if any: the last
+/// identifier outside brackets and template arguments before a top-level
+/// '=' (or the end), when a type precedes it. Static members, type and
+/// friend declarations are not data members.
+inline std::optional<Field> declared_field(
+    const std::string& text, const std::vector<std::size_t>& offsets) {
+  static const std::set<std::string> kNotAField = {
+      "static", "using", "typedef", "friend", "enum",     "template",
+      "class",  "struct", "union",  "static_assert", "operator"};
+  int depth = 0;
+  std::size_t words = 0;
+  Field field;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (is_word_start(c)) {
+      const std::size_t end = word_end(text, i);
+      const std::string word = text.substr(i, end - i);
+      if (kNotAField.count(word) != 0) return std::nullopt;
+      if (depth == 0) {
+        ++words;
+        field.name = word;
+        field.offset = offsets[i];
+      }
+      i = end - 1;
+    } else if (c == '<' || c == '(' || c == '[') {
+      ++depth;
+    } else if ((c == '>' || c == ')' || c == ']') && depth > 0) {
+      --depth;
+    } else if (c == '=' && depth == 0) {
+      break;
+    }
+  }
+  if (words < 2) return std::nullopt;
+  return field;
+}
+
+/// Consumes the access labels ("public:", "private:", "protected:") that
+/// open a class-scope statement, updating `is_public`; returns the index
+/// where the declaration proper starts.
+inline std::size_t skip_access_labels(const std::string& text,
+                                      bool& is_public) {
+  std::size_t at = 0;
+  for (;;) {
+    const std::size_t word = skip_space(text, at);
+    const std::size_t end = word_end(text, word);
+    const std::string label = text.substr(word, end - word);
+    const std::size_t colon = skip_space(text, end);
+    if ((label != "public" && label != "private" && label != "protected") ||
+        colon >= text.size() || text[colon] != ':' ||
+        (colon + 1 < text.size() && text[colon + 1] == ':'))
+      return at;
+    is_public = label == "public";
+    at = colon + 1;
+  }
+}
+
+/// The class a statement opens with its '{', if it is a class head:
+/// `[template <...>] class|struct|union Name [final] [: bases]`. Returns
+/// the name (empty when anonymous) and whether members default to public.
+inline std::optional<std::pair<std::string, bool>> class_head(
+    const std::string& text) {
+  std::vector<std::string> words;
+  int depth = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (is_word_start(c)) {
+      const std::size_t end = word_end(text, i);
+      if (depth == 0) words.push_back(text.substr(i, end - i));
+      i = end - 1;
+    } else if (c == '<' || c == '(' || c == '[') {
+      ++depth;
+    } else if ((c == '>' || c == ')' || c == ']') && depth > 0) {
+      --depth;
+    } else if (c == ':' && depth == 0) {
+      if (i + 1 < text.size() && text[i + 1] == ':') {
+        ++i;
+      } else {
+        break;  // the base clause
+      }
+    }
+  }
+  if (!words.empty() && words.front() == "template") words.erase(words.begin());
+  if (words.empty() || (words.front() != "class" && words.front() != "struct" &&
+                        words.front() != "union"))
+    return std::nullopt;
+  const bool is_public = words.front() != "class";
+  if (words.size() > 1 && words.back() == "final") words.pop_back();
+  return std::make_pair(words.size() > 1 ? words.back() : std::string(),
+                        is_public);
+}
+
+inline bool opens_namespace(const std::string& text) {
+  std::vector<std::string> words;
+  for_each_word(text, [&](const std::string& w, std::size_t) {
+    if (words.size() < 2) words.push_back(w);
+  });
+  if (!words.empty() && words[0] == "inline") words.erase(words.begin());
+  return !words.empty() && (words[0] == "namespace" || words[0] == "extern");
+}
+
+/// Every function declared or defined at namespace or class scope in a
+/// file, and every data member of its classes, from its joined code
+/// (`line_starts` gives each line's offset). Statements are split at ';',
+/// '{' and '}' outside parentheses; namespace and class bodies are
+/// descended into, and every other brace (function body, enum,
+/// initializer) is skipped whole. Preprocessor lines are ignored. A
+/// declaration is checked when it is at namespace scope or a public member
+/// of public classes; constructors taking no arguments (destructors among
+/// them: they carry the class name too) and deleted functions are not.
+inline FileScan scan_declarations(const std::vector<std::string>& code,
+                                  const std::vector<std::size_t>& line_starts) {
+  struct Scope {
+    bool is_class = false;
+    std::string name;
+    bool is_public = true;   // the access of the members declared next
+    bool accessible = true;  // reachable from outside every enclosing class
+  };
+  FileScan scan;
+  std::vector<Scope> scopes;
+  std::size_t skipped = 0;  // depth inside a brace that is skipped whole
+  Body body;
   std::string statement;
-  std::vector<std::size_t> statement_lines;
+  std::vector<std::size_t> offsets;
   int parens = 0;
   const auto reset = [&] {
     statement.clear();
-    statement_lines.clear();
+    offsets.clear();
     parens = 0;
-  };
-  const auto opens_namespace = [&] {
-    std::vector<std::string> words;
-    for_each_word(statement, [&](const std::string& w) {
-      if (words.size() < 2) words.push_back(w);
-    });
-    if (!words.empty() && words[0] == "inline") words.erase(words.begin());
-    return !words.empty() && (words[0] == "namespace" || words[0] == "extern");
-  };
-  const auto close_scope = [&] {
-    if (scopes.empty()) return;
-    if (!scopes.back()) --nested;
-    scopes.pop_back();
   };
   bool directive = false;
   for (std::size_t i = 0; i < code.size(); ++i) {
@@ -566,13 +797,15 @@ inline std::vector<FunctionName> namespace_scope_functions(
       directive = !line.empty() && line.back() == '\\';
       continue;
     }
-    for (const char c : line) {
-      if (nested != 0) {
-        if (c == '{') {
-          scopes.push_back(false);
-          ++nested;
-        } else if (c == '}') {
-          close_scope();
+    for (std::size_t column = 0; column < line.size(); ++column) {
+      const char c = line[column];
+      const std::size_t at = line_starts[i] + column;
+      if (skipped != 0) {
+        if (c == '{') ++skipped;
+        if (c == '}' && --skipped == 0 && !body.name.empty()) {
+          body.end = at;
+          scan.bodies.push_back(std::move(body));
+          body = Body{};
         }
         continue;
       }
@@ -580,29 +813,181 @@ inline std::vector<FunctionName> namespace_scope_functions(
       if (c == ')' && parens > 0) --parens;
       if (parens != 0 || (c != '{' && c != ';' && c != '}')) {
         statement.push_back(c);
-        statement_lines.push_back(i + 1);
+        offsets.push_back(at);
         continue;
       }
-      if (c == '{' && opens_namespace()) {
-        scopes.push_back(true);
-      } else if (c == '}') {
-        close_scope();
+      if (c == '}') {
+        if (!scopes.empty()) scopes.pop_back();
+        reset();
+        continue;
+      }
+      Scope* scope = scopes.empty() ? nullptr : &scopes.back();
+      const bool in_class = scope != nullptr && scope->is_class;
+      const std::size_t begin =
+          in_class ? skip_access_labels(statement, scope->is_public) : 0;
+      const bool accessible =
+          scope == nullptr ||
+          (scope->accessible && (!in_class || scope->is_public));
+      const std::string text = statement.substr(begin);
+      const std::vector<std::size_t> text_offsets(
+          offsets.begin() + static_cast<std::ptrdiff_t>(begin), offsets.end());
+      std::optional<std::pair<std::string, bool>> head;
+      if (c == '{' && opens_namespace(text)) {
+        scopes.push_back({false, "", true, accessible});
+      } else if (c == '{' && (head = class_head(text))) {
+        scopes.push_back({true, head->first, head->second, accessible});
       } else {
-        if (auto function = declared_function(statement, statement_lines))
-          found.push_back(std::move(*function));
+        body = Body{};
+        std::optional<Declaration> function =
+            declared_function(text, text_offsets);
+        if (function) {
+          if (in_class) function->owner = scope->name;
+          const bool constructor = in_class && function->name == scope->name;
+          function->checked = function->checked && accessible &&
+                              !(constructor && function->max_args == 0);
+          body.name = function->name;
+          scan.functions.push_back(std::move(*function));
+        } else if (in_class) {
+          if (std::optional<Field> field = declared_field(text, text_offsets)) {
+            field->owner = scope->name;
+            scan.fields.push_back(std::move(*field));
+          }
+        }
         if (c == '{') {
-          scopes.push_back(false);
-          ++nested;
+          skipped = 1;
+          body.begin = at;
         }
       }
       reset();
     }
-    if (nested == 0) {  // a line break separates words
+    if (skipped == 0) {  // a line break separates words
       statement.push_back(' ');
-      statement_lines.push_back(i + 1);
+      offsets.push_back(line_starts[i] + line.size());
     }
   }
-  return found;
+  return scan;
+}
+
+/// How the shipped code names things: the words it mentions without an
+/// argument list, the argument counts it calls each name with (a class
+/// name collects the counts of its constructions: `T(…)`, `T{…}`,
+/// `T v(…)`, `T v{…}`, `make_shared<T>(…)`, `make_unique<T>(…)`), and the
+/// data members it assigns (`.f =`, `->f =`, `.f.g =` or `&T::f`).
+struct Uses {
+  std::set<std::string> mentioned;
+  std::map<std::string, std::set<std::size_t>> arities;
+  std::set<std::string> assigned;
+};
+
+/// The end of the template argument list opening at text[open], or npos
+/// when it does not close before a statement or bracket boundary; `inner`
+/// receives its last top-level word.
+inline std::size_t skip_template_args(const std::string& text,
+                                      std::size_t open, std::string& inner) {
+  int angle = 0;
+  int parens = 0;
+  for (std::size_t i = open; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '<') ++angle;
+    if (c == '>' && --angle == 0) return i + 1;
+    if (c == '(') ++parens;
+    if (c == ')' && --parens < 0) return std::string::npos;
+    if (c == ';' || c == '{' || c == '}') return std::string::npos;
+    if (is_word_start(c) && angle == 1 && parens == 0) {
+      const std::size_t end = word_end(text, i);
+      inner = text.substr(i, end - i);
+      i = end - 1;
+    }
+  }
+  return std::string::npos;
+}
+
+/// The identifier that ends right before `at` with only whitespace between
+/// (the type of `T v(…)`), or "".
+inline std::string word_before(const std::string& text, std::size_t at) {
+  const std::size_t end = skip_space_back(text, at);
+  const std::size_t begin = word_begin(text, end);
+  if (end == at || begin == end || !is_word_start(text[begin])) return "";
+  return text.substr(begin, end - begin);
+}
+
+/// Whether text[at] is reached through '.' or '->', and where that
+/// accessor starts.
+inline std::optional<std::size_t> member_access_before(const std::string& text,
+                                                       std::size_t at) {
+  const std::size_t i = skip_space_back(text, at);
+  if (i >= 1 && text[i - 1] == '.') return i - 1;
+  if (i >= 2 && text[i - 1] == '>' && text[i - 2] == '-') return i - 2;
+  return std::nullopt;
+}
+
+inline void collect_uses(const std::string& text, const FileScan& scan,
+                         Uses& uses) {
+  std::set<std::size_t> declared;
+  for (const Declaration& declaration : scan.functions)
+    declared.insert(declaration.offset);
+  const auto inside_own_body = [&](const std::string& word, std::size_t at) {
+    auto it = std::upper_bound(
+        scan.bodies.begin(), scan.bodies.end(), at,
+        [](std::size_t offset, const Body& b) { return offset < b.begin; });
+    if (it == scan.bodies.begin()) return false;
+    --it;
+    return at < it->end && it->name == word;
+  };
+  for_each_word(text, [&](const std::string& word, std::size_t at) {
+    const std::size_t end = at + word.size();
+    if (declared.count(at) != 0 || inside_own_body(word, at)) return;
+    std::size_t next = skip_space(text, end);
+    std::string constructed;
+    if (next == end && next < text.size() && text[next] == '<') {
+      std::string inner;
+      const std::size_t after = skip_template_args(text, next, inner);
+      const std::size_t call =
+          after == std::string::npos ? after : skip_space(text, after);
+      if (call < text.size() && (text[call] == '(' || text[call] == '{')) {
+        next = call;
+        if (word == "make_shared" || word == "make_unique")
+          constructed = inner;
+      }
+    }
+    const char after = next < text.size() ? text[next] : '\0';
+    const std::string before = word_before(text, at);
+    if (after == '(' || after == '{') {
+      const BracketList args = split_bracket_list(text, next);
+      if (!args.body) {
+        const std::size_t count = args.items.size();
+        uses.arities[word].insert(count);
+        if (!constructed.empty()) uses.arities[constructed].insert(count);
+        if (!before.empty()) uses.arities[before].insert(count);
+        return;
+      }
+    }
+    uses.mentioned.insert(word);
+    // An assigned member chain: every member of `a.b.c = …` is written.
+    const char second = next + 1 < text.size() ? text[next + 1] : '\0';
+    const bool assignment =
+        (after == '=' && second != '=') ||
+        (after != '\0' && std::string("+-*/|&").find(after) !=
+                               std::string::npos && second == '=');
+    if (assignment) {
+      std::size_t member = at;
+      while (std::optional<std::size_t> access =
+                 member_access_before(text, member)) {
+        uses.assigned.insert(text.substr(member, word_end(text, member) -
+                                                     member));
+        const std::size_t end = skip_space_back(text, *access);
+        if (word_begin(text, end) == end) break;
+        member = word_begin(text, end);
+      }
+    }
+    // A pointer to member: &T::f, with T qualified or not.
+    std::size_t begin = at;
+    while (begin >= 2 && text[begin - 1] == ':' && text[begin - 2] == ':')
+      begin = word_begin(text, begin - 2);
+    const std::size_t amp = skip_space_back(text, begin);
+    if (begin < at && amp > 0 && text[amp - 1] == '&')
+      uses.assigned.insert(word);
+  });
 }
 
 inline bool is_api_caller_path(const std::string& path) {
@@ -620,58 +1005,142 @@ struct SourceFile {
   std::string content;
 };
 
-/// The `unused-api` rule over a whole tree: every function declared at
-/// namespace scope in a src/**/*.hpp must be named in a file under src/,
-/// tools/, bench/, bench_e2e/ or examples/ somewhere other than a
-/// namespace-scope declaration or definition of that name. Names are
-/// matched as words of the stripped code, so an overload set counts as
-/// one name and a call in a comment counts for nothing. Files outside
-/// those directories (tests/ above all) are ignored. Violations come in
-/// (path, line) order.
-inline std::vector<Violation> lint_unused_api(
-    const std::vector<SourceFile>& files) {
-  struct Header {
-    std::string path;
-    std::vector<detail::FunctionName> functions;
-    detail::AllowTable allows;
-  };
-  std::map<std::string, long> uses;
-  std::vector<Header> headers;
+namespace detail {
+
+/// A src/ header's declarations, with the suppressions that apply to them.
+struct HeaderScan {
+  std::string path;
+  std::vector<std::size_t> line_starts;
+  FileScan scan;
+  AllowTable allows;
+
+  std::size_t line_of(std::size_t offset) const {
+    return static_cast<std::size_t>(
+        std::upper_bound(line_starts.begin(), line_starts.end(), offset) -
+        line_starts.begin());
+  }
+};
+
+struct TreeScan {
+  std::vector<HeaderScan> headers;  ///< src/**/*.hpp, in path order
+  Uses uses;
+};
+
+/// Scans every file under src/, tools/, bench/, bench_e2e/ or examples/;
+/// the other files (tests/ above all) are ignored.
+inline TreeScan scan_tree(const std::vector<SourceFile>& files) {
+  TreeScan tree;
   for (const SourceFile& file : files) {
-    if (!detail::is_api_caller_path(file.path)) continue;
-    const std::vector<detail::LineSplitter::Parts> parts =
-        detail::split_parts(file.content);
-    const std::vector<std::string> code = detail::code_lines(parts);
-    for (const std::string& line : code)
-      detail::for_each_word(line, [&](const std::string& w) { ++uses[w]; });
-    std::vector<detail::FunctionName> functions =
-        detail::namespace_scope_functions(code);
-    for (const detail::FunctionName& function : functions)
-      --uses[function.name];
-    if (detail::starts_with(file.path, "src/") &&
-        detail::ends_with(file.path, ".hpp")) {
+    if (!is_api_caller_path(file.path)) continue;
+    const std::vector<LineSplitter::Parts> parts = split_parts(file.content);
+    const std::vector<std::string> code = code_lines(parts);
+    std::vector<std::size_t> line_starts;
+    std::string text;
+    for (const std::string& line : code) {
+      line_starts.push_back(text.size());
+      text += line;
+      text.push_back('\n');
+    }
+    FileScan scan = scan_declarations(code, line_starts);
+    collect_uses(text, scan, tree.uses);
+    if (starts_with(file.path, "src/") && ends_with(file.path, ".hpp")) {
       std::vector<Violation> reported_by_lint_content;
-      headers.push_back(
-          {file.path, std::move(functions),
-           detail::collect_allows(file.path, parts, reported_by_lint_content)});
+      AllowTable allows =
+          collect_allows(file.path, parts, reported_by_lint_content);
+      tree.headers.push_back({file.path, std::move(line_starts),
+                              std::move(scan), std::move(allows)});
     }
   }
-  std::sort(headers.begin(), headers.end(),
-            [](const Header& a, const Header& b) { return a.path < b.path; });
+  std::sort(tree.headers.begin(), tree.headers.end(),
+            [](const HeaderScan& a, const HeaderScan& b) {
+              return a.path < b.path;
+            });
+  return tree;
+}
 
+inline std::string arity_text(const Declaration& declaration) {
+  if (declaration.min_args == declaration.max_args)
+    return std::to_string(declaration.max_args);
+  return std::to_string(declaration.min_args) + "-" +
+         std::to_string(declaration.max_args);
+}
+
+}  // namespace detail
+
+/// The `unused-api` rule over a whole tree. Every function a src/**/*.hpp
+/// declares at namespace scope, and every public member function and
+/// constructor of its public classes, must be used by a file under src/,
+/// tools/, bench/, bench_e2e/ or examples/ somewhere other than its own
+/// declarations and body. A use is keyed on (name, argument count): an
+/// overload is used by a call whose argument count its parameter list
+/// accepts (defaulted parameters give a range), or by any mention of its
+/// name without an argument list (a pointer to it, say). A constructor is
+/// used only by a construction of its class with an accepted count. Blind
+/// spots: overloads of one arity are one entry, and a member whose name
+/// another entity also uses counts as used. Violations come in (path,
+/// line) order.
+inline std::vector<Violation> lint_unused_api(
+    const std::vector<SourceFile>& files) {
+  const detail::TreeScan tree = detail::scan_tree(files);
+  const auto called = [&](const std::string& name,
+                          const detail::Declaration& declaration) {
+    const auto it = tree.uses.arities.find(name);
+    if (it == tree.uses.arities.end()) return false;
+    const auto first = it->second.lower_bound(declaration.min_args);
+    return first != it->second.end() && *first <= declaration.max_args;
+  };
   std::vector<Violation> out;
-  for (const Header& header : headers) {
-    for (const detail::FunctionName& function : header.functions) {
-      if (uses[function.name] > 0 ||
-          header.allows.allowed("unused-api", function.line))
+  for (const detail::HeaderScan& header : tree.headers) {
+    for (const detail::Declaration& declaration : header.scan.functions) {
+      const std::size_t line = header.line_of(declaration.offset);
+      const bool constructor = declaration.name == declaration.owner;
+      const bool used =
+          constructor ? called(declaration.owner, declaration)
+                      : tree.uses.mentioned.count(declaration.name) != 0 ||
+                            called(declaration.name, declaration);
+      if (!declaration.checked || used ||
+          header.allows.allowed("unused-api", line))
+        continue;
+      const std::string qualified =
+          declaration.owner.empty()
+              ? declaration.name
+              : declaration.owner + "::" + declaration.name;
+      out.push_back(
+          {header.path, line, "unused-api",
+           "'" + qualified + "' taking " + detail::arity_text(declaration) +
+               " argument(s) is declared in a src/ header but used nowhere "
+               "else in src/, tools/, bench/, bench_e2e/ or examples/ — "
+               "delete it, move a test-only reference to tests/support/, "
+               "or justify with lint:allow(unused-api): <why it stays>"});
+    }
+  }
+  return out;
+}
+
+/// The `unset-option` rule over a whole tree: every non-static data member
+/// of a `*Options` struct declared in a src/**/*.hpp is assigned in a file
+/// under src/, tools/, bench/, bench_e2e/ or examples/ (`.f =`, `->f =`,
+/// a member chain `.f.g =`, or `&T::f`). A field that no shipped caller
+/// sets has one value in use and belongs in a constant. Blind spot: a field
+/// counts as set when another struct's field of the same name is set.
+/// Violations come in (path, line) order.
+inline std::vector<Violation> lint_unset_option(
+    const std::vector<SourceFile>& files) {
+  const detail::TreeScan tree = detail::scan_tree(files);
+  std::vector<Violation> out;
+  for (const detail::HeaderScan& header : tree.headers) {
+    for (const detail::Field& field : header.scan.fields) {
+      const std::size_t line = header.line_of(field.offset);
+      if (!detail::ends_with(field.owner, "Options") ||
+          tree.uses.assigned.count(field.name) != 0 ||
+          header.allows.allowed("unset-option", line))
         continue;
       out.push_back(
-          {header.path, function.line, "unused-api",
-           "'" + function.name +
-               "' is declared in a src/ header but named nowhere else in "
-               "src/, tools/, bench/, bench_e2e/ or examples/ — move a "
-               "test-only reference to tests/support/, or justify with "
-               "lint:allow(unused-api): <why it stays>"});
+          {header.path, line, "unset-option",
+           "'" + field.owner + "::" + field.name +
+               "' is assigned nowhere in src/, tools/, bench/, bench_e2e/ "
+               "or examples/ — make it a constant, or justify with "
+               "lint:allow(unset-option): <why it stays settable>"});
     }
   }
   return out;

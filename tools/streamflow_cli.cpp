@@ -656,7 +656,8 @@ int cmd_example(const CliArgs&) {
   Application app({2.0, 6.0, 4.0, 1.0}, {1.0, 3.0, 1.0});
   Platform platform = Platform::fully_connected(
       {2.0, 1.5, 1.0, 1.2, 0.8, 1.1, 2.5}, 2.0);
-  Mapping mapping(app, platform, {{0}, {1, 2}, {3, 4, 5}, {6}});
+  Mapping mapping(make_instance(app, platform),
+                  {{0}, {1, 2}, {3, 4, 5}, {6}});
   save_instance(std::cout, mapping);
   return 0;
 }

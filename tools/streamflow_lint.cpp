@@ -4,10 +4,12 @@
 // --root) and applies the per-line rules in tools/lint_rules.hpp: banned
 // wall-clock and ambient-entropy calls, float in analysis code, unjustified
 // unordered-container iteration, header hygiene, and raw std::mutex outside
-// the annotated wrapper. A tree scan also applies the cross-file
-// `unused-api` rule: every function a src/ header declares needs a caller
-// in src/, tools/, bench/, bench_e2e/ or examples/. Runs as the `lint`
-// CTest in every CI job.
+// the annotated wrapper. A tree scan also applies the two cross-file
+// rules: every function, public member and constructor a src/ header
+// declares needs a use in src/, tools/, bench/, bench_e2e/ or examples/
+// (`unused-api`), and every field of a src/ `*Options` struct needs an
+// assignment there (`unset-option`). Runs as the `lint` CTest in every CI
+// job.
 //
 //   streamflow_lint --root <repo>      lint the tree (exit 1 on violations)
 //   streamflow_lint --list-rules       print every rule id + summary
@@ -41,9 +43,11 @@ int usage(std::FILE* stream) {
       "  --root DIR     repository root to scan (default: current directory);\n"
       "                 scans src/, tools/, tests/, bench/ for .cpp/.hpp,\n"
       "                 skipping tests/fixtures/ (planted lint violations),\n"
-      "                 and checks every function a src/ header declares\n"
-      "                 for a caller in src/, tools/, bench/, bench_e2e/ or\n"
-      "                 examples/ (unused-api)\n"
+      "                 and checks every function, public member and\n"
+      "                 constructor a src/ header declares for a use in\n"
+      "                 src/, tools/, bench/, bench_e2e/ or examples/\n"
+      "                 (unused-api), and every *Options field for an\n"
+      "                 assignment there (unset-option)\n"
       "  --list-rules   print every rule id with its summary and exit\n"
       "  --help         this text\n"
       "  FILE...        lint only these files (policy uses their path\n"
@@ -166,6 +170,7 @@ int main(int argc, char** argv) {
                root, {"src", "tools", "bench", "bench_e2e", "examples"}))
         callers.push_back({policy_path(file, root), read_file(file)});
       print(streamflow::lint::lint_unused_api(callers));
+      print(streamflow::lint::lint_unset_option(callers));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
