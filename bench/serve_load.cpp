@@ -7,18 +7,22 @@
 // pool of heterogeneous instances whose communication patterns force CTMC
 // pattern solves (the serving cost the shared store amortizes).
 //
-// Two measured runs over the SAME request stream:
+// Two long-lived servers answer the SAME request streams:
 //   cold — ServeOptions::store == nullptr: every request re-solves its
 //          patterns in a private context (the pre-store baseline);
 //   warm — a shared PatternStore pre-warmed with every pattern the stream
 //          needs: requests are answered from store hits.
-// Each run has a latency phase (serial round-trips -> p50/p95/p99) and a
-// throughput phase (pipelined at a fixed window -> requests/sec).
+// Each server has a latency phase (serial round-trips -> p50/p95/p99).
+// The throughput phase then alternates pipelined passes (fixed window ->
+// requests/sec) over the same stream, cold then warm, for several pairs, so
+// host noise lands on both sides of every pair instead of deciding one
+// cold pass against one warm pass.
 //
-// Shape checks: the warm responses must be BYTE-IDENTICAL to the cold
-// responses (the determinism contract of serve/server.hpp — the store may
-// only change speed, never bytes), and the warm throughput phase must beat
-// cold by >= 1.5x (the win the store exists for).
+// Shape checks: every warm response must be BYTE-IDENTICAL to the cold
+// response to the same request (the determinism contract of
+// serve/server.hpp — the store may only change speed, never bytes), and the
+// median over the pairs of warm/cold throughput must be >= 1.5x (the win
+// the store exists for).
 //
 //   ./build/bench_serve_load [--csv] [--quick] [--json PATH]
 #include <unistd.h>
@@ -89,7 +93,7 @@ Percentiles percentiles(std::vector<double> samples) {
 }
 
 struct RunResult {
-  double rps = 0.0;           ///< throughput phase, requests/sec
+  std::vector<double> rps;    ///< each throughput pass, requests/sec
   Percentiles latency_ms;     ///< latency phase, per-round-trip
   std::vector<std::string> responses;  ///< every response line, in order
 };
@@ -153,43 +157,53 @@ class ServerUnderTest {
   std::istream* responses_ = nullptr;
 };
 
-RunResult drive(const std::vector<std::string>& latency_stream,
-                const std::vector<std::string>& throughput_stream,
-                const ServeOptions& options) {
-  ServerUnderTest server(options);
-  RunResult result;
-
+/// Serial round trips over `stream`: the latency percentiles, responses
+/// appended to `responses`.
+Percentiles latency_phase(ServerUnderTest& server,
+                          const std::vector<std::string>& stream,
+                          std::vector<std::string>& responses) {
   std::vector<double> latencies_ms;
-  latencies_ms.reserve(latency_stream.size());
-  for (const std::string& line : latency_stream) {
+  latencies_ms.reserve(stream.size());
+  for (const std::string& line : stream) {
     Stopwatch watch;
-    result.responses.push_back(server.round_trip(line));
+    responses.push_back(server.round_trip(line));
     latencies_ms.push_back(watch.seconds() * 1e3);
   }
-  result.latency_ms = percentiles(std::move(latencies_ms));
+  return percentiles(std::move(latencies_ms));
+}
 
-  // Pipelined phase: keep `kWindow` requests in flight (well under the pipe
-  // buffer, so writes never deadlock against unread responses).
+/// One pipelined pass over `stream`, keeping `kWindow` requests in flight
+/// (well under the pipe buffer, so writes never deadlock against unread
+/// responses): requests/sec, responses appended to `responses`.
+double throughput_pass(ServerUnderTest& server,
+                       const std::vector<std::string>& stream,
+                       std::vector<std::string>& responses) {
   const std::size_t kWindow = 8;
   Stopwatch watch;
   std::size_t sent = 0;
   std::size_t received = 0;
   std::ostream& out = server.request_stream();
   std::istream& in = server.response_stream();
-  while (received < throughput_stream.size()) {
-    while (sent < throughput_stream.size() && sent - received < kWindow) {
-      out << throughput_stream[sent] << "\n";
+  while (received < stream.size()) {
+    while (sent < stream.size() && sent - received < kWindow) {
+      out << stream[sent] << "\n";
       ++sent;
     }
     out.flush();
     std::string response;
     SF_REQUIRE(static_cast<bool>(std::getline(in, response)),
                "server closed the response stream mid-run");
-    result.responses.push_back(std::move(response));
+    responses.push_back(std::move(response));
     ++received;
   }
-  result.rps = static_cast<double>(throughput_stream.size()) / watch.seconds();
-  return result;
+  return static_cast<double>(stream.size()) / watch.seconds();
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 int run(int argc, char** argv) {
@@ -197,6 +211,7 @@ int run(int argc, char** argv) {
   const std::size_t kVariants = 4;
   const std::size_t latency_requests = args.quick ? 12 : 48;
   const std::size_t throughput_requests = args.quick ? 48 : 240;
+  const std::size_t pairs = args.quick ? 7 : 9;
 
   // Request pool: analyze over the instance variants, round-robin. Ids are
   // positional so the cold and warm streams are byte-identical inputs.
@@ -219,11 +234,6 @@ int run(int argc, char** argv) {
     throughput_stream.push_back(request_line(latency_requests + k));
   }
 
-  // Cold: no store — every request re-solves its patterns privately.
-  ServeOptions cold_options;
-  cold_options.threads = 2;
-  const RunResult cold = drive(latency_stream, throughput_stream, cold_options);
-
   // Warm: a shared store pre-loaded with every pattern the stream needs.
   PatternStore store;
   for (const Mapping& mapping : mappings) {
@@ -231,54 +241,97 @@ int run(int argc, char** argv) {
     context.set_pattern_store(&store);
     (void)context.exponential(mapping, ExecutionModel::kOverlap);
   }
+  // Cold: no store — every request re-solves its patterns privately.
+  ServeOptions cold_options;
+  cold_options.threads = 2;
   ServeOptions warm_options = cold_options;
   warm_options.store = &store;
-  const RunResult warm = drive(latency_stream, throughput_stream, warm_options);
 
-  Table table({"run", "store entries", "req/s", "p50 ms", "p95 ms", "p99 ms"});
-  table.add_row({std::string("cold"), std::int64_t{0}, cold.rps,
+  RunResult cold;
+  RunResult warm;
+  std::vector<double> ratios;
+  {
+    ServerUnderTest cold_server(cold_options);
+    ServerUnderTest warm_server(warm_options);
+    cold.latency_ms = latency_phase(cold_server, latency_stream, cold.responses);
+    warm.latency_ms = latency_phase(warm_server, latency_stream, warm.responses);
+    for (std::size_t pair = 0; pair < pairs; ++pair) {
+      cold.rps.push_back(
+          throughput_pass(cold_server, throughput_stream, cold.responses));
+      warm.rps.push_back(
+          throughput_pass(warm_server, throughput_stream, warm.responses));
+      ratios.push_back(warm.rps.back() / cold.rps.back());
+    }
+  }
+
+  Table pair_table({"pair", "cold req/s", "warm req/s", "warm/cold"});
+  for (std::size_t pair = 0; pair < pairs; ++pair) {
+    pair_table.add_row({static_cast<std::int64_t>(pair), cold.rps[pair],
+                        warm.rps[pair], ratios[pair]});
+  }
+  emit(pair_table,
+       "serve load: " + std::to_string(pairs) +
+           " alternating cold/warm throughput passes of " +
+           std::to_string(throughput_requests) + " requests",
+       args);
+
+  const double cold_rps = median(cold.rps);
+  const double warm_rps = median(warm.rps);
+  Table table({"run", "store entries", "median req/s", "p50 ms", "p95 ms",
+               "p99 ms"});
+  table.add_row({std::string("cold"), std::int64_t{0}, cold_rps,
                  cold.latency_ms.p50, cold.latency_ms.p95,
                  cold.latency_ms.p99});
   table.add_row({std::string("warm"),
-                 static_cast<std::int64_t>(store.size()), warm.rps,
+                 static_cast<std::int64_t>(store.stats().entries), warm_rps,
                  warm.latency_ms.p50, warm.latency_ms.p95,
                  warm.latency_ms.p99});
   emit(table, "serve load: " +
-                  std::to_string(latency_requests + throughput_requests) +
-                  " analyze requests over " + std::to_string(kVariants) +
-                  " instances, pipeline window 8",
+                  std::to_string(latency_requests +
+                                 pairs * throughput_requests) +
+                  " analyze requests per server over " +
+                  std::to_string(kVariants) + " instances, pipeline window 8",
        args);
 
   const bool identical = cold.responses == warm.responses;
-  const double speedup = warm.rps / cold.rps;
+  const double speedup = median(ratios);
   shape_check(identical,
               "warm-store responses byte-identical to the cold baseline (" +
                   std::to_string(cold.responses.size()) + " responses)");
   {
     std::ostringstream message;
     message.precision(3);
-    message << "warm store throughput " << warm.rps << " req/s vs cold "
-            << cold.rps << " (x" << speedup << ", want >= 1.5)";
+    message << "warm store throughput over cold: median x" << speedup
+            << " over " << pairs << " pairs (want >= 1.5)";
     shape_check(speedup >= 1.5, message.str());
   }
 
+  std::vector<std::string> pair_json;
+  for (std::size_t pair = 0; pair < pairs; ++pair) {
+    pair_json.push_back(JsonWriter()
+                            .number_field("cold_rps", cold.rps[pair])
+                            .number_field("warm_rps", warm.rps[pair])
+                            .number_field("ratio", ratios[pair])
+                            .str());
+  }
   JsonWriter cold_json;
-  cold_json.number_field("rps", cold.rps)
+  cold_json.number_field("rps", cold_rps)
       .number_field("p50_ms", cold.latency_ms.p50)
       .number_field("p95_ms", cold.latency_ms.p95)
       .number_field("p99_ms", cold.latency_ms.p99);
   JsonWriter warm_json;
-  warm_json.number_field("rps", warm.rps)
+  warm_json.number_field("rps", warm_rps)
       .number_field("p50_ms", warm.latency_ms.p50)
       .number_field("p95_ms", warm.latency_ms.p95)
       .number_field("p99_ms", warm.latency_ms.p99);
   JsonWriter summary;
   summary.string_field("bench", "serve_load")
-      .integer_field("requests", latency_requests + throughput_requests)
+      .integer_field("requests", latency_requests + pairs * throughput_requests)
       .integer_field("instances", kVariants)
-      .integer_field("store_entries", store.size())
+      .integer_field("store_entries", store.stats().entries)
       .raw_field("cold", cold_json.str())
       .raw_field("warm", warm_json.str())
+      .array_field("pairs", pair_json)
       .number_field("speedup", speedup)
       .bool_field("identical_responses", identical);
   write_json(args, summary);

@@ -9,8 +9,8 @@
 #include "common/stats.hpp"
 #include "fixtures.hpp"
 #include "markov/throughput.hpp"
-#include "markov/transient.hpp"
 #include "sim/pipeline_sim.hpp"
+#include "support/transient.hpp"
 #include "tpn/columns.hpp"
 #include "young/pattern_analysis.hpp"
 

@@ -167,23 +167,12 @@ BufferedPrng::BufferedPrng(const Prng& start, simd::Isa isa,
     : RandomSource(start),  // carry over any pending cached normal deviate
       frontier_(start.state()),
       buffer_(block_draws),
-      isa_(isa == simd::Isa::kAuto ? simd::best_isa() : isa),
-      kernels_(&simd::kernels(isa_)),
+      kernels_(&simd::kernels(isa)),
       lane_jump_(nullptr),
       per_lane_(block_draws / simd::kLanes) {
   SF_REQUIRE(block_draws > 0 && block_draws % (simd::kLanes * 8) == 0,
              "block_draws must be a positive multiple of kLanes * 8");
   lane_jump_ = &detail::lane_jump_tables(per_lane_);
-}
-
-std::size_t BufferedPrng::take(const std::uint64_t** run,
-                               std::size_t max_draws) {
-  SF_REQUIRE(max_draws > 0, "take of zero draws");
-  if (pos_ == end_) refill();
-  const std::size_t n = std::min(max_draws, end_ - pos_);
-  *run = buffer_.data() + pos_;
-  pos_ += n;
-  return n;
 }
 
 void BufferedPrng::fill_uniform01(double* out, std::size_t n) {

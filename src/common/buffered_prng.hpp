@@ -64,20 +64,11 @@ class BufferedPrng final : public RandomSource {
   /// Convenience alias matching Prng's call operator.
   std::uint64_t operator()() { return next_u64(); }
 
-  /// Borrow a contiguous run of up to `max_draws` buffered raw draws,
-  /// refilling first if the cache is empty. Returns the run length (>= 1)
-  /// and points *run at the draws, which are consumed. The pointer is valid
-  /// until the next refill. Batch transform kernels iterate this.
-  std::size_t take(const std::uint64_t** run, std::size_t max_draws);
-
   /// Write the next `n` uniform01() values into out[0..n) — byte-identical
   /// to n sequential uniform01() calls. Buffered raws are drained first;
   /// then whole blocks are converted in-kernel (exact conversion, see
   /// simd_fill.hpp) straight into `out` without staging.
   void fill_uniform01(double* out, std::size_t n);
-
-  simd::Isa isa() const { return isa_; }
-  std::size_t block_draws() const { return buffer_.size(); }
 
  private:
   void refill();
@@ -89,7 +80,6 @@ class BufferedPrng final : public RandomSource {
   std::vector<std::uint64_t> buffer_;
   std::size_t pos_ = 0;
   std::size_t end_ = 0;
-  simd::Isa isa_;
   const simd::Kernels* kernels_;
   const detail::LaneJump* lane_jump_;  // T^per_lane tables, interned per size
   std::size_t per_lane_;

@@ -51,20 +51,9 @@ double AnalysisContext::base_score() const {
   return base_score_;
 }
 
-void AnalysisContext::clear() {
-  stats_ = AnalysisCacheStats{};
-  own_store_.reset();
-  base_mapping_.reset();
-  base_assignment_.clear();
-  base_columns_.clear();
-  base_stage_bounds_.clear();
-  scratch_valid_ = false;
-  scratch_mapping_.reset();
-}
-
 PatternStore& AnalysisContext::active_store() {
   if (store_ != nullptr) return *store_;
-  if (!own_store_) own_store_ = std::make_unique<PatternStore>(1);
+  if (!own_store_) own_store_ = std::make_unique<PatternStore>();
   return *own_store_;
 }
 

@@ -6,7 +6,7 @@
 //      holding the saturated rate of every heterogeneous communication
 //      pattern solved so far, keyed by its canonical signature
 //      (tpn/columns.hpp's PatternSignature): the shared store attached with
-//      set_pattern_store(), or else a one-shard store the context owns,
+//      set_pattern_store(), or else a store the context owns,
 //      built on the first lookup. The signature pins (u, v, exact link
 //      durations), so entries are valid — and shared — across every mapping
 //      evaluated through the store, even mappings of different
@@ -58,7 +58,7 @@
 
 namespace streamflow {
 
-/// Monotone counters of one AnalysisContext (clear() resets them).
+/// Monotone counters of one AnalysisContext.
 struct AnalysisCacheStats {
   /// CTMC solves answered from the store. hits + misses == requests stays
   /// cache-state invariant; the split between the two is not.
@@ -193,14 +193,8 @@ class AnalysisContext {
   /// and assert). The context itself remains single-threaded — the store
   /// is internally synchronized, the context is not.
   void set_pattern_store(PatternStore* store) { store_ = store; }
-  /// The attached store, or nullptr when the context reads its own.
-  PatternStore* pattern_store() const { return store_; }
 
   const AnalysisCacheStats& stats() const { return stats_; }
-
-  /// Drops the base and the statistics, and empties the context's own
-  /// store. An attached store is never touched.
-  void clear();
 
  private:
   /// A solved communication component: its saturated (inner) rate plus the

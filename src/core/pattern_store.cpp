@@ -5,13 +5,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
-#include "common/mutex.hpp"
 #include "common/text_reader.hpp"
-#include "common/thread_annotations.hpp"
 
 namespace streamflow {
 
@@ -25,7 +23,7 @@ struct StoredEntry {
 
 /// The canonical snapshot order: (u, v, duration bits) lexicographically.
 /// Total over distinct signatures, so sorting makes snapshots byte-stable
-/// regardless of shard count, hash seeding, or insertion history.
+/// regardless of hash seeding or insertion history.
 bool entry_less(const StoredEntry& a, const StoredEntry& b) {
   if (a.signature.u != b.signature.u) return a.signature.u < b.signature.u;
   if (a.signature.v != b.signature.v) return a.signature.v < b.signature.v;
@@ -57,6 +55,23 @@ std::uint64_t entries_digest(const std::vector<StoredEntry>& entries) {
   return hash;
 }
 
+/// The entries of `map` in canonical order (the only way entries ever
+/// leave the store wholesale, so iteration order can never reach a result
+/// or a byte of output).
+std::vector<StoredEntry> sorted_entries(
+    const std::unordered_map<PatternSignature, double, PatternSignature::Hash>&
+        map) {
+  std::vector<StoredEntry> entries;
+  entries.reserve(map.size());
+  // lint:allow(unordered-iter): entries are sorted into canonical (u, v,
+  // bits) order below before any byte is emitted or hashed
+  for (const auto& [signature, rate] : map) {
+    entries.push_back(StoredEntry{signature, rate});
+  }
+  std::sort(entries.begin(), entries.end(), entry_less);
+  return entries;
+}
+
 std::string hex16(std::uint64_t value) {
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016llx",
@@ -66,130 +81,51 @@ std::string hex16(std::uint64_t value) {
 
 }  // namespace
 
-struct PatternStore::Shard {
-  mutable Mutex mutex;
-  // Point-queried by lookup()/publish(); iterated ONLY by the snapshot and
-  // fault-injection paths below, which sort (or treat order-independently)
-  // before anything escapes.
-  std::unordered_map<PatternSignature, double, PatternSignature::Hash> map
-      SF_GUARDED_BY(mutex);
-  std::size_t hits SF_GUARDED_BY(mutex) = 0;
-  std::size_t misses SF_GUARDED_BY(mutex) = 0;
-  std::size_t publishes SF_GUARDED_BY(mutex) = 0;
-  std::size_t duplicates SF_GUARDED_BY(mutex) = 0;
-};
-
-PatternStore::PatternStore(std::size_t shards) {
-  SF_REQUIRE(shards >= 1, "pattern store requires at least one shard");
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
+double PatternStore::insert(const PatternSignature& signature, double rate) {
+  const auto [it, inserted] = map_.emplace(signature, rate);
+  if (inserted) {
+    ++publishes_;
+  } else {
+    ++duplicates_;
   }
-}
-
-PatternStore::~PatternStore() = default;
-
-std::size_t PatternStore::shard_of(const PatternSignature& signature) const {
-  // A context's own store has one shard: skip hashing the signature twice
-  // (here and in the shard's map) on every lookup.
-  if (shards_.size() == 1) return 0;
-  return static_cast<std::size_t>(signature.hash() % shards_.size());
+  return it->second;
 }
 
 std::optional<double> PatternStore::lookup(const PatternSignature& signature) {
-  Shard& shard = *shards_[shard_of(signature)];
-  MutexLock lock(shard.mutex);
-  const auto it = shard.map.find(signature);
-  if (it == shard.map.end()) {
-    ++shard.misses;
+  MutexLock lock(mutex_);
+  const auto it = map_.find(signature);
+  if (it == map_.end()) {
+    ++misses_;
     return std::nullopt;
   }
-  ++shard.hits;
+  ++hits_;
   return it->second;
 }
 
 void PatternStore::publish(const PatternSignature& signature, double rate) {
-  Shard& shard = *shards_[shard_of(signature)];
-  MutexLock lock(shard.mutex);
-  const auto [it, inserted] = shard.map.emplace(signature, rate);
-  if (inserted) {
-    ++shard.publishes;
-    return;
-  }
-  ++shard.duplicates;
+  MutexLock lock(mutex_);
+  const double stored = insert(signature, rate);
   // Solves are deterministic functions of the signature, so every publisher
   // of the same signature must produce the same bits — the invariant that
   // makes first-writer-wins indistinguishable from any other tie-break.
-  SF_ASSERT(std::bit_cast<std::uint64_t>(it->second) ==
+  SF_ASSERT(std::bit_cast<std::uint64_t>(stored) ==
                 std::bit_cast<std::uint64_t>(rate),
             "pattern store publish disagreement: two solves of one signature "
             "produced different bits");
 }
 
-std::size_t PatternStore::shard_size(std::size_t shard) const {
-  SF_REQUIRE(shard < shards_.size(), "shard index out of range");
-  MutexLock lock(shards_[shard]->mutex);
-  return shards_[shard]->map.size();
-}
-
-std::size_t PatternStore::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    total += shard->map.size();
-  }
-  return total;
-}
-
 PatternStoreStats PatternStore::stats() const {
-  PatternStoreStats stats;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.publishes += shard->publishes;
-    stats.duplicates += shard->duplicates;
-    stats.entries += shard->map.size();
-  }
-  return stats;
+  MutexLock lock(mutex_);
+  return PatternStoreStats{hits_, misses_, publishes_, duplicates_,
+                           map_.size()};
 }
-
-void PatternStore::clear() {
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    shard->map.clear();
-    shard->hits = 0;
-    shard->misses = 0;
-    shard->publishes = 0;
-    shard->duplicates = 0;
-  }
-}
-
-namespace {
-
-/// Collects every entry of `shards` into canonical order (the only way
-/// entries ever leave the store wholesale, so iteration order can never
-/// reach a result or a byte of output).
-std::vector<StoredEntry> collect_sorted(
-    const std::vector<std::unique_ptr<PatternStore::Shard>>& shards) {
-  std::vector<StoredEntry> entries;
-  for (const auto& shard : shards) {
-    MutexLock lock(shard->mutex);
-    entries.reserve(entries.size() + shard->map.size());
-    // lint:allow(unordered-iter): entries are sorted into canonical (u, v,
-    // bits) order below before any byte is emitted or hashed
-    for (const auto& [signature, rate] : shard->map) {
-      entries.push_back(StoredEntry{signature, rate});
-    }
-  }
-  std::sort(entries.begin(), entries.end(), entry_less);
-  return entries;
-}
-
-}  // namespace
 
 void PatternStore::save(std::ostream& os) const {
-  const std::vector<StoredEntry> entries = collect_sorted(shards_);
+  std::vector<StoredEntry> entries;
+  {
+    MutexLock lock(mutex_);
+    entries = sorted_entries(map_);
+  }
   os << "streamflow-pattern-store v1\n";
   os << "entries " << entries.size() << "\n";
   for (const StoredEntry& entry : entries) {
@@ -287,23 +223,16 @@ std::size_t PatternStore::load(std::string_view text) {
                 std::string(reader.line()) + "'");
   }
 
+  MutexLock lock(mutex_);
   for (const StoredEntry& entry : entries) {
-    Shard& shard = *shards_[shard_of(entry.signature)];
-    MutexLock lock(shard.mutex);
-    const auto [it, inserted] = shard.map.emplace(entry.signature, entry.rate);
-    if (inserted) {
-      ++shard.publishes;
-    } else {
-      ++shard.duplicates;
-      if (std::bit_cast<std::uint64_t>(it->second) !=
-          std::bit_cast<std::uint64_t>(entry.rate)) {
-        throw InvalidArgument(
-            "pattern-store snapshot disagrees with a live entry for pattern "
-            "u=" +
-            std::to_string(entry.signature.u) +
-            " v=" + std::to_string(entry.signature.v) +
-            " (stale snapshot or corrupted data)");
-      }
+    if (std::bit_cast<std::uint64_t>(insert(entry.signature, entry.rate)) !=
+        std::bit_cast<std::uint64_t>(entry.rate)) {
+      throw InvalidArgument(
+          "pattern-store snapshot disagrees with a live entry for pattern "
+          "u=" +
+          std::to_string(entry.signature.u) +
+          " v=" + std::to_string(entry.signature.v) +
+          " (stale snapshot or corrupted data)");
     }
   }
   return entries.size();
@@ -329,22 +258,17 @@ std::size_t PatternStore::load_file(const std::string& path) {
 }
 
 std::uint64_t PatternStore::digest() const {
-  return entries_digest(collect_sorted(shards_));
+  MutexLock lock(mutex_);
+  return entries_digest(sorted_entries(map_));
 }
 
 std::size_t PatternStore::transform_rates(
     const std::function<double(double)>& fn) {
-  std::size_t transformed = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    // lint:allow(unordered-iter): test-only fault injection; the transform
-    // is applied to every entry, so visitation order is immaterial
-    for (auto& [signature, rate] : shard->map) {
-      rate = fn(rate);
-      ++transformed;
-    }
-  }
-  return transformed;
+  MutexLock lock(mutex_);
+  // lint:allow(unordered-iter): test-only fault injection; the transform
+  // is applied to every entry, so visitation order is immaterial
+  for (auto& [signature, rate] : map_) rate = fn(rate);
+  return map_.size();
 }
 
 }  // namespace streamflow

@@ -75,9 +75,7 @@ class ExperimentRunner {
  public:
   explicit ExperimentRunner(ExperimentOptions options = {});
 
-  const ExperimentOptions& options() const { return options_; }
-
-  /// Fans the body out over options().replications substreams through
+  /// Fans the body out over options.replications substreams through
   /// ThreadPool::for_each. Each replication writes only its own row and the
   /// aggregation runs serially in row order, so the returned
   /// ReplicatedResult is a pure function of (seed, replications, body).

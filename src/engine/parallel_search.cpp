@@ -63,6 +63,17 @@ std::size_t reduce_best(const std::vector<RestartResult>& rows) {
   return best;
 }
 
+/// Adds the five work counters of `from` into `into` (a trace row or the
+/// portfolio totals): the one place that lists them.
+template <typename Counters>
+void add_counters(Counters& into, const RestartResult& from) {
+  into.evaluations += from.evaluations;
+  into.pattern_requests += from.pattern_requests;
+  into.moves_pruned_mct += from.moves_pruned_mct;
+  into.moves_pruned_maxplus += from.moves_pruned_maxplus;
+  into.moves_solved += from.moves_solved;
+}
+
 ParallelSearchResult assemble(const InstancePtr& instance,
                               const MappingSearchOptions& search,
                               std::vector<RestartResult> rows,
@@ -84,13 +95,7 @@ ParallelSearchResult assemble(const InstancePtr& instance,
                               0,
                               0,
                               std::move(rows)};
-  for (const RestartResult& row : result.trace) {
-    result.evaluations += row.evaluations;
-    result.pattern_requests += row.pattern_requests;
-    result.moves_pruned_mct += row.moves_pruned_mct;
-    result.moves_pruned_maxplus += row.moves_pruned_maxplus;
-    result.moves_solved += row.moves_solved;
-  }
+  for (const RestartResult& row : result.trace) add_counters(result, row);
   return result;
 }
 
@@ -112,11 +117,7 @@ void merge_leg(RestartResult& row, const RestartResult& leg) {
     row.score = leg.score;
     row.assignment = leg.assignment;
   }
-  row.evaluations += leg.evaluations;
-  row.pattern_requests += leg.pattern_requests;
-  row.moves_pruned_mct += leg.moves_pruned_mct;
-  row.moves_pruned_maxplus += leg.moves_pruned_maxplus;
-  row.moves_solved += leg.moves_solved;
+  add_counters(row, leg);
 }
 
 /// The serial synchronization point between rounds: in island order, island
@@ -210,11 +211,7 @@ ParallelSearchResult run_island_portfolio(const InstancePtr& instance,
     SF_ASSERT(polish.feasible, "winning island best failed to realize");
     rows[winner].score = polish.score;
     rows[winner].assignment = polish.assignment;
-    rows[winner].evaluations += polish.evaluations;
-    rows[winner].pattern_requests += polish.pattern_requests;
-    rows[winner].moves_pruned_mct += polish.moves_pruned_mct;
-    rows[winner].moves_pruned_maxplus += polish.moves_pruned_maxplus;
-    rows[winner].moves_solved += polish.moves_solved;
+    add_counters(rows[winner], polish);
   }
   return assemble(instance, search, std::move(rows), pool.size());
 }

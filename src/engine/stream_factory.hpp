@@ -25,8 +25,6 @@ class StreamFactory {
  public:
   explicit StreamFactory(std::uint64_t seed) : seed_(seed), frontier_(seed) {}
 
-  std::uint64_t seed() const { return seed_; }
-
   /// Generator for substream k. Amortized O(1) jumps when called with
   /// non-decreasing k (the factory keeps the frontier state); random access
   /// backwards recomputes from the seed in O(k) jumps. Not thread-safe:

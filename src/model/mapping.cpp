@@ -100,13 +100,6 @@ Mapping Mapping::with_teams(const Mapping& base,
   return Mapping(base.instance_, std::move(teams), &validate);
 }
 
-std::vector<std::size_t> Mapping::replications() const {
-  std::vector<std::size_t> r;
-  r.reserve(teams_.size());
-  for (const auto& team : teams_) r.push_back(team.size());
-  return r;
-}
-
 std::vector<std::size_t> Mapping::path(std::int64_t j) const {
   SF_REQUIRE(j >= 0, "path index must be non-negative");
   SF_REQUIRE(j < num_paths_,
@@ -232,12 +225,6 @@ double Mapping::stage_rate_bound(std::size_t stage) const {
     sum += 1.0 / busy;  // busy == 0 => +inf contribution (no constraint)
   }
   return sum;
-}
-
-double Mapping::critical_resource_throughput(ExecutionModel model) const {
-  const double mct = max_cycle_time(model);
-  SF_ASSERT(mct > 0.0, "degenerate mapping with zero cycle time");
-  return 1.0 / mct;
 }
 
 std::string Mapping::to_string() const {

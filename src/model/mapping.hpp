@@ -98,9 +98,6 @@ class Mapping {
     return team(stage).size();
   }
 
-  /// All replication factors R_1..R_N.
-  std::vector<std::size_t> replications() const;
-
   /// Stage served by processor p, or npos if p is unused.
   static constexpr std::size_t kUnused = static_cast<std::size_t>(-1);
   std::size_t stage_of(std::size_t p) const {
@@ -148,9 +145,6 @@ class Mapping {
   double max_cycle_time(ExecutionModel model,
                         MctConvention convention =
                             MctConvention::kValidBound) const;
-
-  /// 1 / Mct: an upper bound on the throughput ("critical resource" rate).
-  double critical_resource_throughput(ExecutionModel model) const;
 
   /// S_i = sum over q in Team_i of 1 / max(C_comp(q), R_i * C_in(q)): an
   /// admissible upper bound on the SUMMED stage-i completion rate, and

@@ -62,7 +62,6 @@ JsonWriter handle_stats(FlatRequest& request, const ServeOptions& options) {
   result.integer_field("misses", stats.misses);
   result.integer_field("publishes", stats.publishes);
   result.integer_field("duplicates", stats.duplicates);
-  result.integer_field("shards", options.store->shard_count());
   return result;
 }
 

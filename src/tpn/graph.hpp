@@ -61,7 +61,9 @@ class TimedEventGraph {
 
   std::size_t num_transitions() const { return transitions_.size(); }
   std::size_t num_places() const { return places_.size(); }
+  // lint:allow(unused-api): tests/support's deterministic reference reads it
   std::int64_t num_rows() const { return num_rows_; }
+  // lint:allow(unused-api): tests/support's deterministic reference reads it
   std::size_t num_columns() const { return num_columns_; }
 
   const Transition& transition(std::size_t id) const {

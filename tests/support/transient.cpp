@@ -1,4 +1,4 @@
-#include "markov/transient.hpp"
+#include "support/transient.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -3,7 +3,8 @@
 // transition set over [0, t]. This is the exact, finite-horizon counterpart
 // of the steady-state throughput — the theoretical version of the Fig 10
 // convergence study (finite-horizon throughput climbs toward the stationary
-// value as the horizon grows).
+// value as the horizon grows). Only the transient-convergence bench and its
+// test use it, so it lives with the test-side references.
 #pragma once
 
 #include <vector>
@@ -17,7 +18,7 @@ struct TransientOptions {
   /// Truncation error bound for the uniformization (Poisson tail mass).
   static constexpr double epsilon = 1e-10;
   /// Hard cap on uniformization steps (guards pathological horizons).
-  // lint:allow(unset-option): tests reach the step-cap error through it
+  /// Settable so that a test can reach the step-cap error.
   std::size_t max_steps = 2'000'000;
 };
 

@@ -267,12 +267,14 @@ TEST(Heuristics, InstanceIsSharedNotCopiedAcrossAWholeSearch) {
   // of the last (uncommitted) evaluate_move probe. Still the same
   // allocation: handles are O(1) copies of the pointer, never of the
   // payload.
-  AnalysisContext context;
-  const RestartResult restart = run_greedy_restart(instance, options, context);
-  EXPECT_TRUE(restart.feasible);
-  EXPECT_EQ(context.base_mapping().instance().get(), instance.get());
-  EXPECT_EQ(instance.use_count(), 3);
-  context.clear();
+  {
+    AnalysisContext context;
+    const RestartResult restart =
+        run_greedy_restart(instance, options, context);
+    EXPECT_TRUE(restart.feasible);
+    EXPECT_EQ(context.base_mapping().instance().get(), instance.get());
+    EXPECT_EQ(instance.use_count(), 3);
+  }
   EXPECT_EQ(instance.use_count(), 1);
 }
 

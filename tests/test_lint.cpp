@@ -9,8 +9,8 @@
 // reader and the test-side number references) are pinned
 // here too, so a refactor of the engine cannot silently widen or narrow a
 // rule. The cross-file rules replay planted mini-trees instead of single
-// files: tests/fixtures/lint/unused_api/ and unused_members/ for unused-api,
-// unset_option/ for unset-option.
+// files: tests/fixtures/lint/unused_api/, unused_members/ and member_uses/
+// for unused-api, unset_option/ for unset-option.
 #include "lint_rules.hpp"
 
 #include <gtest/gtest.h>
@@ -73,6 +73,11 @@ std::vector<SourceFile> unused_members_tree() {
   return mini_tree("unused_members",
                    {"src/gadget/gadget.hpp", "src/gadget/gadget.cpp",
                     "tools/driver.cpp", "tests/gadget_test.cpp"});
+}
+
+std::vector<SourceFile> member_uses_tree() {
+  return mini_tree("member_uses",
+                   {"src/sensor/sensor.hpp", "tools/driver.cpp"});
 }
 
 std::vector<SourceFile> unset_option_tree() {
@@ -290,6 +295,45 @@ TEST(Lint, UnusedApiCountsAShippedCallOfTheRightArity) {
                    "}\n"});
   const std::vector<std::string> expected = {"src/gadget/gadget.hpp:21"};
   EXPECT_EQ(fire_unused_api(files), expected);
+}
+
+TEST(Lint, UnusedApiIgnoresABareMentionOfAMember) {
+  // critical_rate and seed are named only as fields and a local, and
+  // counted only through a pointer into another class: none of the three
+  // member functions is used. sampled is called and pointed is taken by
+  // &Sensor::pointed.
+  const std::vector<std::string> expected = {"src/sensor/sensor.hpp:20",
+                                             "src/sensor/sensor.hpp:21",
+                                             "src/sensor/sensor.hpp:24"};
+  EXPECT_EQ(fire_unused_api(member_uses_tree()), expected);
+}
+
+TEST(Lint, UnusedApiCountsAMemberCallOrAPointerToItsOwnClass) {
+  std::vector<SourceFile> files = member_uses_tree();
+  files.push_back({"examples/caller.cpp",
+                   "int f(const sensor::Sensor& s) {\n"
+                   "  auto counter = &sensor::Sensor::counted;\n"
+                   "  return s.critical_rate(1) + s.seed() + counter();\n"
+                   "}\n"});
+  EXPECT_TRUE(fire_unused_api(files).empty());
+  // A call of the wrong arity still leaves the member unused.
+  files.back().content = "int f(const sensor::Sensor& s) { return s.seed(1); }\n";
+  const std::vector<std::string> expected = {"src/sensor/sensor.hpp:20",
+                                             "src/sensor/sensor.hpp:21",
+                                             "src/sensor/sensor.hpp:24"};
+  EXPECT_EQ(fire_unused_api(files), expected);
+}
+
+TEST(Lint, UnusedApiReadsNoFunctionInAFunctionPointerField) {
+  // `void (*refill)(…)` is a data member, not a function named `void`.
+  const std::vector<SourceFile> files = {
+      {"src/kernels.hpp",
+       "#pragma once\n"
+       "struct Kernels {\n"
+       "  void (*refill)(double* out, int n, int stride);\n"
+       "  void (&convert)(const double* in, double* out);\n"
+       "};\n"}};
+  EXPECT_TRUE(fire_unused_api(files).empty());
 }
 
 TEST(Lint, UnsetOptionFiresOnAFieldNoShippedCallerAssigns) {

@@ -61,7 +61,7 @@ struct Seeds {
   std::vector<std::string> requests;
 
   Seeds() {
-    PatternStore store(1);
+    PatternStore store;
     for (std::uint64_t k = 0; k < 3; ++k) {
       PatternSignature signature;
       signature.u = 1 + k;
@@ -154,7 +154,7 @@ std::string verdict(Parse parse) {
 /// mutated text with the digest its rows hash to, so the merge and re-emit
 /// paths see mutated rows too.
 std::string reseal(std::string text) {
-  const std::string message = verdict([&text] { PatternStore(1).load(text); });
+  const std::string message = verdict([&text] { PatternStore().load(text); });
   const std::size_t claim = message.find("entries hash to ");
   const std::size_t digest = text.rfind("digest ");
   if (claim == std::string::npos || digest == std::string::npos) return text;
@@ -181,10 +181,10 @@ bool parse_case(Format format, const std::string& text) {
         break;
       }
       case kSnapshot: {
-        PatternStore store(1);
+        PatternStore store;
         store.load(text);
         const std::string emitted = snapshot_text(store);
-        PatternStore again(1);
+        PatternStore again;
         again.load(emitted);
         EXPECT_EQ(snapshot_text(again), emitted);
         break;
@@ -251,7 +251,7 @@ TEST(ParseFuzz, MutatedTextsParseOrThrowInvalidArgument) {
 TEST(ParseFuzz, PinnedNegativeCases) {
   const auto snapshot = [](const std::string& body) {
     return verdict([&body] {
-      PatternStore(1).load("streamflow-pattern-store v1\n" + body);
+      PatternStore().load("streamflow-pattern-store v1\n" + body);
     });
   };
   EXPECT_NE(snapshot("entries 1000000000000000000\n").find("truncated"),

@@ -4,10 +4,8 @@
 // What is pinned here:
 //  * exact hit/miss/publish/duplicate accounting — under one thread AND
 //    under N threads hammering disjoint or overlapping signature sets
-//    (the counters are maintained under shard locks, so they are exact,
-//    not sampled);
-//  * shard distribution sanity (every shard populated, no pathological
-//    skew for the FNV-mixed signature hash);
+//    (the counters are maintained under the store's lock, so they are
+//    exact, not sampled);
 //  * bit-identity: a store hit returns the bits a local solve would have
 //    produced, a warm-store search equals the cold-store search equals
 //    the storeless search, serial and parallel, any thread count;
@@ -84,8 +82,8 @@ std::string fixture_path(const std::string& name) {
 }
 
 TEST(PatternStore, HitMissAccountingIsExact) {
-  PatternStore store(4);
-  EXPECT_EQ(store.size(), 0u);
+  PatternStore store;
+  EXPECT_EQ(store.stats().entries, 0u);
   EXPECT_FALSE(store.lookup(synthetic_signature(0)).has_value());
   store.publish(synthetic_signature(0), synthetic_rate(0));
   store.publish(synthetic_signature(1), synthetic_rate(1));
@@ -100,62 +98,26 @@ TEST(PatternStore, HitMissAccountingIsExact) {
   EXPECT_EQ(stats.publishes, 2u);
   EXPECT_EQ(stats.duplicates, 0u);
   EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.stats().entries, 2u);
 }
 
 TEST(PatternStore, FirstWriterWinsAndDisagreementAsserts) {
-  PatternStore store(2);
+  PatternStore store;
   store.publish(synthetic_signature(5), synthetic_rate(5));
   // Agreement: counted as a duplicate, entry untouched.
   store.publish(synthetic_signature(5), synthetic_rate(5));
   EXPECT_EQ(store.stats().duplicates, 1u);
-  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.stats().entries, 1u);
   // Disagreement violates the solve-determinism contract and must throw.
   EXPECT_THROW(
       store.publish(synthetic_signature(5), synthetic_rate(5) + 1e-9),
       InvalidArgument);
 }
 
-TEST(PatternStore, ClearDropsEntriesAndCounters) {
-  PatternStore store(2);
-  store.publish(synthetic_signature(0), synthetic_rate(0));
-  (void)store.lookup(synthetic_signature(0));
-  store.clear();
-  const PatternStoreStats stats = store.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.publishes, 0u);
-  EXPECT_FALSE(store.lookup(synthetic_signature(0)).has_value());
-}
-
-TEST(PatternStore, ShardDistributionIsSane) {
-  const std::size_t kShards = 8;
-  const std::size_t kEntries = 1000;
-  PatternStore store(kShards);
-  EXPECT_EQ(store.shard_count(), kShards);
-  for (std::uint64_t k = 0; k < kEntries; ++k) {
-    const PatternSignature signature = synthetic_signature(k);
-    EXPECT_EQ(store.shard_of(signature), signature.hash() % kShards);
-    store.publish(signature, synthetic_rate(k));
-  }
-  std::size_t total = 0;
-  std::size_t largest = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const std::size_t size = store.shard_size(s);
-    EXPECT_GT(size, 0u) << "shard " << s << " is empty";
-    total += size;
-    largest = std::max(largest, size);
-  }
-  EXPECT_EQ(total, kEntries);
-  // No pathological skew: the fullest shard stays within 4x the mean.
-  EXPECT_LE(largest, 4 * (kEntries / kShards));
-}
-
 TEST(PatternStore, ConcurrentDisjointSetsCountExactly) {
   const std::size_t kThreads = 8;
   const std::uint64_t kPerThread = 200;
-  PatternStore store(4);
+  PatternStore store;
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -186,7 +148,7 @@ TEST(PatternStore, ConcurrentOverlappingSetsAgreeBitExactly) {
   const std::size_t kThreads = 8;
   const std::uint64_t kShared = 64;
   const std::size_t kRounds = 3;
-  PatternStore store(4);
+  PatternStore store;
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -230,31 +192,18 @@ TEST(PatternStoreContext, StoreHitReturnsSolveBits) {
     expected.push_back(reference.pattern_rate(pattern));
   }
 
-  PatternStore store(4);
+  PatternStore store;
   AnalysisContext writer;
   writer.set_pattern_store(&store);
-  EXPECT_EQ(writer.pattern_store(), &store);
   for (std::size_t k = 0; k < patterns.size(); ++k) {
     EXPECT_EQ(writer.pattern_rate(patterns[k]), expected[k]);
   }
-  EXPECT_GT(store.size(), 0u);
+  EXPECT_GT(store.stats().entries, 0u);
   // A cold attached store counts exactly as the reference's own store did,
   // and every solve was published into it.
-  EXPECT_EQ(writer.stats().pattern_misses, store.size());
+  EXPECT_EQ(writer.stats().pattern_misses, store.stats().entries);
   EXPECT_EQ(writer.stats().pattern_hits, reference.stats().pattern_hits);
-  EXPECT_EQ(store.stats().publishes, store.size());
-
-  // clear() on a context with an attached store leaves the store's entries
-  // and counters alone.
-  const PatternStoreStats before_clear = store.stats();
-  writer.clear();
-  EXPECT_EQ(writer.pattern_store(), &store);
-  const PatternStoreStats after_clear = store.stats();
-  EXPECT_EQ(after_clear.entries, before_clear.entries);
-  EXPECT_EQ(after_clear.hits, before_clear.hits);
-  EXPECT_EQ(after_clear.misses, before_clear.misses);
-  EXPECT_EQ(after_clear.publishes, before_clear.publishes);
-  EXPECT_EQ(after_clear.duplicates, before_clear.duplicates);
+  EXPECT_EQ(store.stats().publishes, store.stats().entries);
 
   // A second context sees the first one's solves as store hits — and the
   // hits must be bit-identical to the solves above.
@@ -265,7 +214,7 @@ TEST(PatternStoreContext, StoreHitReturnsSolveBits) {
   }
   EXPECT_GT(reader.stats().pattern_hits, 0u);
   EXPECT_EQ(reader.stats().pattern_misses, 0u);
-  EXPECT_EQ(store.stats().publishes, store.size());
+  EXPECT_EQ(store.stats().publishes, store.stats().entries);
   // hits + misses stays cache-state invariant across all three contexts.
   EXPECT_EQ(reader.stats().pattern_hits + reader.stats().pattern_misses,
             reference.stats().pattern_hits + reference.stats().pattern_misses);
@@ -276,11 +225,11 @@ TEST(PatternStoreContext, StaleStoreEntryIsDetected) {
   const std::vector<CommPattern> patterns = comm_patterns(mapping, 1);
   ASSERT_FALSE(patterns.empty());
 
-  PatternStore store(4);
+  PatternStore store;
   AnalysisContext writer;
   writer.set_pattern_store(&store);
   const double honest = writer.pattern_rate(patterns.front());
-  ASSERT_GT(store.size(), 0u);
+  ASSERT_GT(store.stats().entries, 0u);
 
   // Fault injection: stale every stored rate by one ulp. The store now
   // violates the solve-determinism contract its hits rely on.
@@ -321,12 +270,12 @@ TEST(PatternStoreSearch, WarmStoreSearchIsBitIdentical) {
   const RestartResult baseline =
       run_greedy_restart(mapping.instance(), search, private_only);
 
-  PatternStore store(4);
+  PatternStore store;
   AnalysisContext cold;
   cold.set_pattern_store(&store);
   const RestartResult via_cold_store =
       run_greedy_restart(mapping.instance(), search, cold);
-  EXPECT_GT(store.size(), 0u);
+  EXPECT_GT(store.stats().entries, 0u);
 
   AnalysisContext warm;
   warm.set_pattern_store(&store);
@@ -352,7 +301,7 @@ TEST(PatternStoreSearch, ParallelPortfolioWithStoreIsBitIdentical) {
   const ParallelSearchResult baseline =
       parallel_optimize_mapping(mapping.instance(), options);
 
-  PatternStore store(4);
+  PatternStore store;
   options.pattern_store = &store;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     options.threads = threads;
@@ -368,13 +317,13 @@ TEST(PatternStoreSearch, ParallelPortfolioWithStoreIsBitIdentical) {
       EXPECT_EQ(shared.best_restart, baseline.best_restart);
     }
   }
-  EXPECT_GT(store.size(), 0u);
+  EXPECT_GT(store.stats().entries, 0u);
 }
 
 // ---- Snapshots --------------------------------------------------------------
 
 TEST(PatternStoreSnapshot, RoundTripIsByteStableAndDigestEqual) {
-  PatternStore store(4);
+  PatternStore store;
   // Tricky doubles: snapshots must round-trip BITS, not decimal text.
   const double rates[] = {1.0 / 3.0, 0.1, 1e-300, 6.02e23,
                           std::nextafter(1.0, 2.0)};
@@ -385,9 +334,9 @@ TEST(PatternStoreSnapshot, RoundTripIsByteStableAndDigestEqual) {
   std::ostringstream first;
   store.save(first);
 
-  // Load into a store with a DIFFERENT shard count: the snapshot is
-  // canonical, so shard topology must be invisible.
-  PatternStore reloaded(7);
+  // Load into a fresh store: the snapshot is canonical, so insertion order
+  // and hash layout must be invisible.
+  PatternStore reloaded;
   EXPECT_EQ(reloaded.load(first.str()), 5u);
   EXPECT_EQ(reloaded.digest(), store.digest());
   for (std::uint64_t k = 0; k < 5; ++k) {
@@ -402,28 +351,28 @@ TEST(PatternStoreSnapshot, RoundTripIsByteStableAndDigestEqual) {
 }
 
 TEST(PatternStoreSnapshot, LoadMergesAndRejectsConflicts) {
-  PatternStore source(2);
+  PatternStore source;
   source.publish(synthetic_signature(1), synthetic_rate(1));
   std::ostringstream snapshot;
   source.save(snapshot);
 
   // Merging into a store that already agrees: counted as a duplicate.
-  PatternStore agreeing(2);
+  PatternStore agreeing;
   agreeing.publish(synthetic_signature(1), synthetic_rate(1));
   EXPECT_EQ(agreeing.load(snapshot.str()), 1u);
-  EXPECT_EQ(agreeing.size(), 1u);
+  EXPECT_EQ(agreeing.stats().entries, 1u);
   EXPECT_EQ(agreeing.stats().duplicates, 1u);
 
   // Merging into a store that disagrees: the determinism contract is
   // violated somewhere — refuse.
-  PatternStore disagreeing(2);
+  PatternStore disagreeing;
   disagreeing.publish(synthetic_signature(1), synthetic_rate(1) + 1e-9);
   EXPECT_THROW(disagreeing.load(snapshot.str()), InvalidArgument);
 }
 
 TEST(PatternStoreSnapshot, NegativeFixturesAreRejectedWithDiagnostics) {
   const auto load_fixture = [](const std::string& name) {
-    PatternStore store(2);
+    PatternStore store;
     return store.load_file(fixture_path(name));
   };
   const auto message_of = [&](const std::string& name) {
@@ -455,9 +404,9 @@ TEST(PatternStoreSnapshot, NegativeFixturesAreRejectedWithDiagnostics) {
 }
 
 TEST(PatternStoreSnapshot, MissingPathIsAColdStart) {
-  PatternStore store(2);
+  PatternStore store;
   EXPECT_EQ(store.load_file(fixture_path("does_not_exist.snapshot")), 0u);
-  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.stats().entries, 0u);
 }
 
 }  // namespace

@@ -118,20 +118,6 @@ TEST(BufferedPrng, Uniform01ByteEqualIncludingPartialDrains) {
   }
 }
 
-TEST(BufferedPrng, TakeCoversTheStreamInOrder) {
-  Prng scalar(2024);
-  BufferedPrng buffered(Prng(2024), simd::Isa::kAuto, kSmallBlock);
-  std::size_t covered = 0;
-  while (covered < 5 * kSmallBlock) {
-    const std::uint64_t* run = nullptr;
-    const std::size_t n = buffered.take(&run, 37);  // never aligned to blocks
-    ASSERT_GE(n, 1u);
-    ASSERT_LE(n, 37u);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(run[i], scalar());
-    covered += n;
-  }
-}
-
 TEST(BufferedPrng, TransformsMatchScalarSource) {
   // The inherited RandomSource transforms (normal01 with its cached second
   // deviate, gamma, uniform_index rejection loops) consume the buffered raw

@@ -62,7 +62,7 @@ std::string analyze_request_line() {
 }
 
 TEST(Serve, GoldenTranscript) {
-  PatternStore store(4);
+  PatternStore store;
   ServeOptions options;
   options.threads = 2;
   options.store = &store;
@@ -82,7 +82,7 @@ TEST(Serve, BytesInvariantAcrossThreadsBatchingAndWarmth) {
   const std::string requests = read_fixture("requests.jsonl");
   const std::string golden = read_fixture("responses.golden.jsonl");
 
-  PatternStore shared(4);
+  PatternStore shared;
   struct Config {
     std::size_t threads;
     std::size_t max_batch;
@@ -107,7 +107,7 @@ TEST(Serve, BytesInvariantAcrossThreadsBatchingAndWarmth) {
         << config.threads << " threads, batch " << config.max_batch
         << (config.store ? ", shared store" : ", no store");
   }
-  EXPECT_GT(shared.size(), 0u);
+  EXPECT_GT(shared.stats().entries, 0u);
 }
 
 TEST(Serve, MalformedRequestsAreRejectedWithDiagnostics) {
@@ -218,7 +218,7 @@ TEST(Serve, ErrorResponsesNameNoBuildDirectory) {
 }
 
 TEST(Serve, RepeatedAndInterleavedRequestsAreByteIdentical) {
-  PatternStore store(4);
+  PatternStore store;
   ServeOptions options;
   options.threads = 2;
   options.store = &store;
@@ -285,14 +285,13 @@ TEST(Serve, StatsReportsLiveStoreCounters) {
   EXPECT_EQ(handle_request("{\"op\":\"stats\"}", storeless).response,
             "{\"ok\":true,\"result\":{\"store\":false}}");
 
-  PatternStore store(4);
+  PatternStore store;
   ServeOptions options;
   options.threads = 1;
   options.store = &store;
-  const std::string cold = handle_request("{\"op\":\"stats\"}", options).response;
-  EXPECT_NE(cold.find("\"store\":true"), std::string::npos);
-  EXPECT_NE(cold.find("\"entries\":0"), std::string::npos);
-  EXPECT_NE(cold.find("\"shards\":4"), std::string::npos);
+  EXPECT_EQ(handle_request("{\"op\":\"stats\"}", options).response,
+            "{\"ok\":true,\"result\":{\"store\":true,\"entries\":0,"
+            "\"hits\":0,\"misses\":0,\"publishes\":0,\"duplicates\":0}}");
 
   (void)handle_request(analyze_request_line(), options);
   const std::string warm = handle_request("{\"op\":\"stats\"}", options).response;

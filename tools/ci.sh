@@ -47,8 +47,9 @@ for config in "${configs[@]}"; do
     "./${build_dir}/bench_sampling_throughput" --quick \
         --json "${build_dir}/BENCH_sampling_throughput.json"
     # The serve load generator SHAPE-checks the pattern-store contract end
-    # to end (warm responses byte-identical to the cold baseline, warm
-    # requests/sec win) and reports rps + p50/p95/p99 for both runs.
+    # to end (warm responses byte-identical to the cold baseline, median
+    # warm/cold requests/sec over alternating passes) and reports rps +
+    # p50/p95/p99 for both servers.
     echo "==> ${config}: bench smoke (serve load)"
     "./${build_dir}/bench_serve_load" --quick \
         --json "${build_dir}/BENCH_serve_load.json"

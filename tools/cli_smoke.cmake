@@ -72,12 +72,12 @@ expect_flag_error(--sync-rounds search x.instance --sync-rounds 0)
 
 # Pattern-store and serve-mode flags: batch sizes must be positive
 # integers, the path-valued flags must reject a missing value instead of
-# silently consuming the next option, and the shard count of a store is not
-# a flag.
-expect_flag_error("unknown or misplaced argument '--store-shards'"
-                  search x.instance --store-shards 0)
-expect_flag_error("unknown or misplaced argument '--store-shards'"
-                  serve --store-shards -4)
+# silently consuming the next option, and sharing the store is not a flag
+# (search and serve always share one store).
+expect_flag_error("unknown or misplaced argument '--shared-store'"
+                  search x.instance --shared-store)
+expect_flag_error("unknown or misplaced argument '--shared-store'"
+                  serve --shared-store)
 expect_flag_error(--batch serve --batch 0)
 expect_flag_error(--batch serve --batch 2.5)
 expect_flag_error(--cache-load search x.instance --cache-load)
@@ -153,7 +153,6 @@ expect_flag_error(--islands search "${instance}" --islands "+2")
 # own positional arity; anything else exits 2 naming the argument.
 expect_flag_error(--batch analyze "${instance}" --batch 3)
 expect_flag_error(--model fuzz --model strict)
-expect_flag_error(--shared-store serve --shared-store)
 expect_flag_error(--cache-save simulate "${instance}"
                   --cache-save "${WORK_DIR}/simulate.snapshot")
 if(EXISTS "${WORK_DIR}/simulate.snapshot")
@@ -263,10 +262,10 @@ if(NOT rep1_norm STREQUAL rep4_norm)
                       "--- 4 threads ---\n${rep4_out}")
 endif()
 
-# Pattern-store snapshot round trip: a --shared-store search saves a
-# snapshot, a second search warm-starts from it (any --threads), and the
-# result must be byte-identical to the storeless baseline — the store and
-# its persistence may change speed, never bytes. It runs on the
+# Pattern-store snapshot round trip: a search saves a snapshot, a second
+# search warm-starts from it (any --threads), and the result must be
+# byte-identical to the baseline without snapshots — the store and its
+# persistence may change speed, never bytes. It runs on the
 # heterogeneous serve fixture, whose patterns are not all homogeneous, so
 # the snapshot stores rates and the reader parses every row back. The
 # transient store reporting lines are stripped before comparing (they are
@@ -274,17 +273,19 @@ endif()
 set(het_instance "${FIXTURE_DIR}/serve/het.inst")
 run_cli(0 nostore_out search "${het_instance}" --objective exp --restarts 4
         --seed 3)
+if(nostore_out MATCHES "pattern store:")
+  message(FATAL_ERROR "search without snapshot flags reported the store:\n"
+                      "${nostore_out}")
+endif()
 run_cli(0 save_out search "${het_instance}" --objective exp --restarts 4
-        --seed 3 --shared-store
-        --cache-save "${WORK_DIR}/patterns.snapshot")
+        --seed 3 --cache-save "${WORK_DIR}/patterns.snapshot")
 if(NOT save_out MATCHES "pattern store: [1-9][0-9]* entries" OR
    NOT EXISTS "${WORK_DIR}/patterns.snapshot")
   message(FATAL_ERROR "--cache-save did not write a non-empty snapshot:\n"
                       "${save_out}")
 endif()
 run_cli(0 load_out search "${het_instance}" --objective exp --restarts 4
-        --seed 3 --shared-store --threads 4
-        --cache-load "${WORK_DIR}/patterns.snapshot")
+        --seed 3 --threads 4 --cache-load "${WORK_DIR}/patterns.snapshot")
 if(NOT load_out MATCHES "warm-started")
   message(FATAL_ERROR "--cache-load did not warm-start the store:\n"
                       "${load_out}")
@@ -296,7 +297,7 @@ foreach(var nostore_out save_out load_out)
 endforeach()
 if(NOT save_out_norm STREQUAL nostore_out_norm OR
    NOT load_out_norm STREQUAL nostore_out_norm)
-  message(FATAL_ERROR "shared-store search changed the result bytes:\n"
+  message(FATAL_ERROR "snapshot search changed the result bytes:\n"
                       "--- baseline ---\n${nostore_out}\n"
                       "--- cold store ---\n${save_out}\n"
                       "--- warm store ---\n${load_out}")
@@ -305,7 +306,7 @@ endif()
 # A corrupted snapshot must be rejected loudly (library error, exit 1).
 file(WRITE "${WORK_DIR}/bad.snapshot"
      "streamflow-pattern-store v9\nentries 0\ndigest cbf29ce484222325\n")
-run_cli(1 badsnap_out search "${instance}" --shared-store
+run_cli(1 badsnap_out search "${instance}"
         --cache-load "${WORK_DIR}/bad.snapshot")
 if(NOT badsnap_out_err MATCHES "unsupported snapshot version")
   message(FATAL_ERROR "version-skewed snapshot was not rejected:\n"

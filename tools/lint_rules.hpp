@@ -80,8 +80,10 @@ inline const std::vector<RuleInfo>& rules() {
        "constructor declared in a src/ header is used in src/, tools/, "
        "bench/, bench_e2e/ or examples/ outside its own declarations and "
        "body, keyed on (name, argument count) (test-only references live in "
-       "tests/). Blind spots: overloads of one arity are one entry, and a "
-       "member whose name another entity uses counts as used"},
+       "tests/). A member function is used only by a call of an accepted "
+       "argument count or by &T::f, never by a bare mention of its name. "
+       "Blind spots: overloads of one arity are one entry, and a call of "
+       "another entity's same-named function counts"},
       {"unset-option",
        "every non-static data member of a *Options struct in a src/ header "
        "is assigned (.f =, ->f =, &T::f) in src/, tools/, bench/, "
@@ -632,6 +634,10 @@ inline std::optional<Declaration> declared_function(
     } else if (c == '=' && angle == 0) {
       return std::nullopt;
     } else if (c == '(' && angle == 0) {
+      // `R (*f)(…)` declares a pointer to a function, not a function.
+      const std::size_t inner = skip_space(text, i + 1);
+      if (inner < text.size() && (text[inner] == '*' || text[inner] == '&'))
+        return std::nullopt;
       if (!last.empty() && !is_specifier(last)) {
         Declaration declaration;
         declaration.name = last;
@@ -871,11 +877,13 @@ inline FileScan scan_declarations(const std::vector<std::string>& code,
 /// How the shipped code names things: the words it mentions without an
 /// argument list, the argument counts it calls each name with (a class
 /// name collects the counts of its constructions: `T(…)`, `T{…}`,
-/// `T v(…)`, `T v{…}`, `make_shared<T>(…)`, `make_unique<T>(…)`), and the
-/// data members it assigns (`.f =`, `->f =`, `.f.g =` or `&T::f`).
+/// `T v(…)`, `T v{…}`, `make_shared<T>(…)`, `make_unique<T>(…)`), the
+/// members it takes a pointer to (`&T::f`, kept as "T::f"), and the data
+/// members it assigns (`.f =`, `->f =`, `.f.g =` or `&T::f`).
 struct Uses {
   std::set<std::string> mentioned;
   std::map<std::string, std::set<std::size_t>> arities;
+  std::set<std::string> addressed;
   std::set<std::string> assigned;
 };
 
@@ -985,8 +993,11 @@ inline void collect_uses(const std::string& text, const FileScan& scan,
     while (begin >= 2 && text[begin - 1] == ':' && text[begin - 2] == ':')
       begin = word_begin(text, begin - 2);
     const std::size_t amp = skip_space_back(text, begin);
-    if (begin < at && amp > 0 && text[amp - 1] == '&')
+    if (begin < at && amp > 0 && text[amp - 1] == '&') {
+      const std::size_t owner = word_begin(text, at - 2);
+      uses.addressed.insert(text.substr(owner, end - owner));
       uses.assigned.insert(word);
+    }
   });
 }
 
@@ -1073,11 +1084,13 @@ inline std::string arity_text(const Declaration& declaration) {
 /// tools/, bench/, bench_e2e/ or examples/ somewhere other than its own
 /// declarations and body. A use is keyed on (name, argument count): an
 /// overload is used by a call whose argument count its parameter list
-/// accepts (defaulted parameters give a range), or by any mention of its
-/// name without an argument list (a pointer to it, say). A constructor is
-/// used only by a construction of its class with an accepted count. Blind
-/// spots: overloads of one arity are one entry, and a member whose name
-/// another entity also uses counts as used. Violations come in (path,
+/// accepts (defaulted parameters give a range). A namespace-scope function
+/// is also used by any mention of its name without an argument list (a
+/// pointer to it, say); a member function only by `&T::f` with T its own
+/// class, so a field or a local of the same name hides nothing. A constructor is used only by
+/// a construction of its class with an accepted count. Blind spots:
+/// overloads of one arity are one entry, and a call of another entity's
+/// function of the same name and arity counts. Violations come in (path,
 /// line) order.
 inline std::vector<Violation> lint_unused_api(
     const std::vector<SourceFile>& files) {
@@ -1094,10 +1107,14 @@ inline std::vector<Violation> lint_unused_api(
     for (const detail::Declaration& declaration : header.scan.functions) {
       const std::size_t line = header.line_of(declaration.offset);
       const bool constructor = declaration.name == declaration.owner;
-      const bool used =
-          constructor ? called(declaration.owner, declaration)
-                      : tree.uses.mentioned.count(declaration.name) != 0 ||
-                            called(declaration.name, declaration);
+      const bool named =
+          declaration.owner.empty()
+              ? tree.uses.mentioned.count(declaration.name) != 0
+              : tree.uses.addressed.count(declaration.owner + "::" +
+                                          declaration.name) != 0;
+      const bool used = constructor
+                            ? called(declaration.owner, declaration)
+                            : named || called(declaration.name, declaration);
       if (!declaration.checked || used ||
           header.allows.allowed("unused-api", line))
         continue;

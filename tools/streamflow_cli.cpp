@@ -67,14 +67,13 @@ void print_usage_prose(std::ostream& out) {
       << "incumbents round-robin at --sync-rounds serial sync points, so\n"
       << "the outcome is a pure function of (seed, options) for every\n"
       << "--threads value. --kind anneal|tabu is per-instance only and\n"
-      << "cannot be combined with --scenarios. --shared-store evaluates\n"
-      << "through one pattern store shared by every worker (implied by\n"
-      << "--cache-load/--cache-save): workers share pattern solves across\n"
-      << "restarts and — via snapshots — across runs, and the result stays\n"
-      << "bit-identical to a search in which each worker reads its own\n"
-      << "store. --cache-load FILE warm-starts the shared store from a\n"
-      << "snapshot (digest-validated; a missing file is a cold start);\n"
-      << "--cache-save FILE writes one after the search.\n"
+      << "cannot be combined with --scenarios. Every worker evaluates\n"
+      << "through one shared pattern store, so workers share pattern\n"
+      << "solves across restarts and — via snapshots — across runs; a\n"
+      << "store hit returns the bits a solve would, so results never depend\n"
+      << "on the store's warmth. --cache-load FILE warm-starts the store\n"
+      << "from a snapshot (digest-validated; a missing file is a cold\n"
+      << "start); --cache-save FILE writes one after the search.\n"
       << "\n"
       << "serve runs the long-lived evaluation service: one flat JSON\n"
       << "request per line (op = ping|analyze|search|simulate|stats|\n"
@@ -138,10 +137,9 @@ struct CliArgs {
   BoundPolicy prune = BoundPolicy::kNone;
   std::size_t islands = 4;
   std::size_t sync_rounds = 8;
-  // shared pattern store (search and serve)
-  bool shared_store = false;  // evaluate through one shared store
-  std::string cache_load;     // snapshot to warm-start from
-  std::string cache_save;     // snapshot to write afterwards
+  // pattern-store snapshots (search and serve)
+  std::string cache_load;  // snapshot to warm-start from
+  std::string cache_save;  // snapshot to write afterwards
   // serve options
   std::size_t batch = 16;    // max requests per dispatched batch
   std::string socket_path;   // empty = stdin/stdout pipe mode
@@ -262,7 +260,6 @@ const Flag kFlags[] = {
     choice("--prune", kSearch, &CliArgs::prune, kPrunes),
     integer("--islands", "I", kSearch, &CliArgs::islands, 1),
     integer("--sync-rounds", "N", kSearch, &CliArgs::sync_rounds, 1),
-    toggle("--shared-store", kSearch, &CliArgs::shared_store),
     text("--cache-load", "FILE", kSearch | kServe, &CliArgs::cache_load),
     text("--cache-save", "FILE", kSearch | kServe, &CliArgs::cache_save),
     text("--scenarios", "<list-file>", kSearch, &CliArgs::scenarios_path),
@@ -387,14 +384,14 @@ std::vector<std::string> read_scenarios(const std::string& path) {
   return result;
 }
 
-/// Search-mode store report. Prints only scheduling-invariant quantities
-/// (entry count, shard count, digest) — the store hit/miss SPLIT depends on
-/// which worker solved a pattern first, so it stays unreported, exactly
-/// like the per-context split.
-void report_store(const CliArgs& args, PatternStore& store,
+/// Search-mode store report, printed when a snapshot is loaded or saved.
+/// Prints only scheduling-invariant quantities (entry count, digest) — the
+/// store hit/miss SPLIT depends on which worker solved a pattern first, so
+/// it stays unreported, exactly like the per-context split.
+void report_store(const CliArgs& args, const PatternStore& store,
                   std::size_t loaded) {
-  std::cout << "pattern store: " << store.size() << " entries in "
-            << store.shard_count() << " shard(s)";
+  if (args.cache_load.empty() && args.cache_save.empty()) return;
+  std::cout << "pattern store: " << store.stats().entries << " entries";
   if (loaded > 0) std::cout << ", " << loaded << " warm-started";
   std::cout << ", digest " << std::hex << store.digest() << std::dec
             << " (results bit-identical to a private-cache run)\n";
@@ -406,16 +403,13 @@ void report_store(const CliArgs& args, PatternStore& store,
 }
 
 int cmd_search(const CliArgs& args) {
-  const bool use_store = args.shared_store || !args.cache_load.empty() ||
-                         !args.cache_save.empty();
-  PatternStore shared;
-  PatternStore* store = use_store ? &shared : nullptr;
+  PatternStore store;
   // A nonexistent snapshot is a cold start (returns 0); an invalid one
   // throws with a line diagnostic before any search work happens.
   const std::size_t warm_loaded =
-      args.cache_load.empty() ? 0 : shared.load_file(args.cache_load);
+      args.cache_load.empty() ? 0 : store.load_file(args.cache_load);
   ParallelSearchOptions options;
-  options.pattern_store = store;
+  options.pattern_store = &store;
   options.search.model = args.model;
   // The exponential objective needs the column method (Overlap only).
   options.search.objective = args.objective.value_or(
@@ -484,7 +478,7 @@ int cmd_search(const CliArgs& args) {
                 << " by max-plus), " << result.moves_solved
                 << " solved exactly; result bit-identical to --prune none\n";
     }
-    if (store != nullptr) report_store(args, *store, warm_loaded);
+    report_store(args, store, warm_loaded);
     return 0;
   }
 
@@ -531,7 +525,7 @@ int cmd_search(const CliArgs& args) {
   std::cout << "evaluations    : " << evaluations << " total, "
             << pattern_requests << " pattern solves requested (rows "
             << "independent of --threads)\n";
-  if (store != nullptr) report_store(args, *store, warm_loaded);
+  report_store(args, store, warm_loaded);
   return 0;
 }
 
@@ -556,7 +550,8 @@ int cmd_serve(const CliArgs& args) {
           : run_serve_socket(args.socket_path, options);
   if (!args.cache_save.empty()) {
     store.save_file(args.cache_save);
-    std::cerr << "serve: saved " << store.size() << " pattern entries to '"
+    std::cerr << "serve: saved " << store.stats().entries
+              << " pattern entries to '"
               << args.cache_save << "'\n";
   }
   std::cerr << "serve: " << result.requests << " request(s) in "
